@@ -45,7 +45,7 @@ func BenchmarkTableI_IDMStep(b *testing.B) {
 	s.Drain = 0
 	s.PacketInterval = time.Hour // traffic only
 	for i := 0; i < b.N; i++ {
-		georoute.RunOnce(s, uint64(i+1))
+		georoute.RunOnce(s, uint64(i+1), georoute.Observe{})
 	}
 }
 

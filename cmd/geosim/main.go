@@ -35,11 +35,15 @@
 // HTTP while the run executes — Prometheus text exposition on /metrics,
 // a JSON snapshot on /telemetry.json, and the standard pprof profiles
 // under /debug/pprof/ — and -progress, a periodic stderr heartbeat
-// (cells done/total, throughput and ETA in campaign mode; event counts in
-// figure mode). In campaign mode SIGQUIT (Ctrl-\) dumps goroutine stacks
-// plus a telemetry snapshot into results/<name>/ without stopping the
-// run. Telemetry is pure observation: outputs are byte-identical with it
-// on or off.
+// (cells done/total, cells/s and ETA). In campaign mode SIGQUIT (Ctrl-\)
+// dumps goroutine stacks plus a telemetry snapshot into results/<name>/
+// without stopping the run. Telemetry is pure observation: outputs are
+// byte-identical with it on or off.
+//
+// A figure run is a campaign of one figure without a journal: both modes
+// execute cells and fold results the same way, so -format json prints the
+// bytes a campaign over the same figure writes to
+// results/<name>/<figure>.json.
 //
 // Campaigns can also run distributed: -serve starts the fabric
 // coordinator (campaign control plane + /metrics on one listener),
@@ -87,7 +91,7 @@ func main() {
 		resume   = flag.Bool("resume", false, "resume an interrupted campaign from its journal")
 		results  = flag.String("results", "results", "parent directory for campaign results")
 		maxCells = flag.Int("max-cells", 0, "stop the campaign after N fresh cells (testing/CI)")
-		workers  = flag.Int("workers", 0, "campaign worker pool size (default: CPUs-1)")
+		workers  = flag.Int("workers", 0, "worker pool size (default: CPUs-1)")
 		traceDir = flag.String("trace", "", "write per-cell packet-lifecycle traces (JSONL + counter rollup) into this directory")
 		detectOn = flag.Bool("detect", false, "campaign mode: run the misbehavior plausibility monitors in every cell and write results/<name>/detection.json (pure observation; other artifacts are byte-identical)")
 		listen   = flag.String("listen", "", "serve live telemetry on this address while running: /metrics (Prometheus), /telemetry.json, /debug/pprof/")
@@ -147,11 +151,9 @@ func main() {
 	}
 
 	var reg *georoute.TelemetryRegistry
-	if *listen != "" || *progress {
+	if *listen != "" {
 		reg = georoute.NewTelemetryRegistry()
 		georoute.RegisterRuntimeMetrics(reg)
-	}
-	if *listen != "" {
 		srv, err := georoute.ServeTelemetry(reg, *listen)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
@@ -166,54 +168,63 @@ func main() {
 		ids = georoute.FigureIDs()
 		ids = append(ids, "fig12a", "fig12b", "fig13", "tableI", "tableII")
 	}
-	var stopHB func()
-	if *progress {
-		stopHB = startFigureHeartbeat(reg, *expID)
-	}
+	opts := georoute.CampaignOptions{Workers: *workers, TraceDir: *traceDir, Telemetry: reg}
 	for _, id := range ids {
-		if err := runExperiment(id, *runs, *format, *seeds, *traceDir, *fwd, reg); err != nil {
+		if err := runExperiment(id, *runs, *format, *seeds, *fwd, *progress, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "geosim: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	if stopHB != nil {
-		stopHB()
-	}
 }
 
-// startFigureHeartbeat prints a stderr heartbeat every two seconds while
-// figure runs execute: elapsed wall clock, total simulation events, and
-// the recent event rate (read from the telemetry registry, which the
-// per-worker samplers publish into). The returned func stops it.
-func startFigureHeartbeat(reg *georoute.TelemetryRegistry, label string) func() {
-	stop := make(chan struct{})
+// heartbeat prints "<label>: done/total cells  x cells/s  ETA" to stderr
+// every two seconds, fed by CampaignOptions.Progress. Cells replayed from
+// a journal count as done but not toward the rate.
+type heartbeat struct {
+	done, total, replayed atomic.Int64
+	quit, exited          chan struct{}
+}
+
+func startHeartbeat(label string) *heartbeat {
+	h := &heartbeat{quit: make(chan struct{}), exited: make(chan struct{})}
 	start := time.Now()
 	go func() {
+		defer close(h.exited)
 		t := time.NewTicker(2 * time.Second)
 		defer t.Stop()
-		lastEv, lastT := 0.0, start
 		for {
 			select {
-			case <-stop:
+			case <-h.quit:
 				return
-			case now := <-t.C:
-				var ev float64
-				for _, s := range reg.Snapshot() {
-					if s.Name == "georoute_engine_events_total" {
-						ev = s.Value
-					}
-				}
-				rate := (ev - lastEv) / now.Sub(lastT).Seconds()
-				fmt.Fprintf(os.Stderr, "\r%s: %v elapsed, %.0f events (%.2fM ev/s)      ",
-					label, time.Since(start).Round(time.Second), ev, rate/1e6)
-				lastEv, lastT = ev, now
+			case <-t.C:
 			}
+			done, total := h.done.Load(), h.total.Load()
+			elapsed := time.Since(start).Seconds()
+			if total == 0 || elapsed <= 0 {
+				continue
+			}
+			rate := float64(done-h.replayed.Load()) / elapsed
+			eta := "n/a"
+			if rate > 0 {
+				eta = (time.Duration(float64(total-done)/rate) * time.Second).Round(time.Second).String()
+			}
+			fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells  %.2f cells/s  ETA %-12s", label, done, total, rate, eta)
 		}
 	}()
-	return func() {
-		close(stop)
-		fmt.Fprintln(os.Stderr)
-	}
+	return h
+}
+
+// progress has the shape of CampaignOptions.Progress.
+func (h *heartbeat) progress(done, total, replayed int, _ string) {
+	h.done.Store(int64(done))
+	h.total.Store(int64(total))
+	h.replayed.Store(int64(replayed))
+}
+
+// stop ends the heartbeat and returns once its goroutine has exited.
+func (h *heartbeat) stop() {
+	close(h.quit)
+	<-h.exited
 }
 
 // benchWorldResult is the one-line JSON record -bench-world prints. One
@@ -364,26 +375,10 @@ func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int
 	}()
 
 	start := time.Now()
-	var doneCells, totalCells, replayedCells atomic.Int64
+	var hb *heartbeat
 	if progress {
-		hb := time.NewTicker(2 * time.Second)
-		defer hb.Stop()
-		go func() {
-			for range hb.C {
-				done, total := doneCells.Load(), totalCells.Load()
-				executed := done - replayedCells.Load()
-				elapsed := time.Since(start).Seconds()
-				if total == 0 || elapsed <= 0 {
-					continue
-				}
-				rate := float64(executed) / elapsed
-				eta := "n/a"
-				if rate > 0 {
-					eta = (time.Duration(float64(total-done)/rate) * time.Second).Round(time.Second).String()
-				}
-				fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells  %.2f cells/s  ETA %-12s", sp.Name, done, total, rate, eta)
-			}
-		}()
+		hb = startHeartbeat("campaign " + sp.Name)
+		defer hb.stop()
 	}
 	last := ""
 	info, err := georoute.RunCampaign(ctx, sp, georoute.CampaignOptions{
@@ -395,9 +390,9 @@ func runCampaign(specPath, resultsDir string, resume bool, maxCells, workers int
 		Telemetry:  reg,
 		Detect:     detectOn,
 		Progress: func(done, total, replayed int, key string) {
-			doneCells.Store(int64(done))
-			totalCells.Store(int64(total))
-			replayedCells.Store(int64(replayed))
+			if hb != nil {
+				hb.progress(done, total, replayed, key)
+			}
 			if key == "" {
 				if replayed > 0 {
 					fmt.Fprintf(os.Stderr, "campaign %s: replayed %d/%d cells from journal\n", sp.Name, replayed, total)
@@ -435,7 +430,7 @@ func printJSON(v any) error {
 	return nil
 }
 
-func runExperiment(id string, runs int, format string, showcaseSeeds int, traceDir, forwarder string, reg *georoute.TelemetryRegistry) error {
+func runExperiment(id string, runs int, format string, showcaseSeeds int, forwarder string, progress bool, opts georoute.CampaignOptions) error {
 	switch id {
 	case "tableI":
 		if format == "json" {
@@ -468,7 +463,7 @@ func runExperiment(id string, runs int, format string, showcaseSeeds int, traceD
 		}
 	}
 	if format == "json" {
-		res, err := runFigure(fig, runs, traceDir, reg)
+		res, err := runFigure(fig, runs, progress, opts)
 		if err != nil {
 			return err
 		}
@@ -476,7 +471,7 @@ func runExperiment(id string, runs int, format string, showcaseSeeds int, traceD
 	}
 	fmt.Printf("== %s: %s (%d runs/arm) ==\n", fig.ID, fig.Title, runs)
 	start := time.Now()
-	res, err := runFigure(fig, runs, traceDir, reg)
+	res, err := runFigure(fig, runs, progress, opts)
 	if err != nil {
 		return err
 	}
@@ -521,28 +516,19 @@ func runExperiment(id string, runs int, format string, showcaseSeeds int, traceD
 	return nil
 }
 
-// runFigure executes a figure, optionally writing one trace artifact pair
-// (<figure>__<arm>__<seed>.jsonl + .counters.json) per cell into traceDir
-// and publishing live gauges into the telemetry registry.
-func runFigure(fig georoute.Figure, runs int, traceDir string, reg *georoute.TelemetryRegistry) (georoute.FigureResult, error) {
-	var hook georoute.TraceHook
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			return georoute.FigureResult{}, err
-		}
-		hook = func(c georoute.ExperimentCell) (*georoute.Tracer, func() error, error) {
-			name := fmt.Sprintf("%s__%s__%d.jsonl", c.Figure, c.Arm, c.Seed)
-			ft, err := georoute.NewFileTracer(filepath.Join(traceDir, name))
-			if err != nil {
-				return nil, nil, err
-			}
-			return ft.Tracer(), ft.Close, nil
-		}
+// runFigure runs a figure as a journal-less campaign: with opts.TraceDir
+// every cell writes <figure>__<arm>__<seed>.jsonl plus its counter rollup,
+// opts.Telemetry receives live gauges, and progress prints the heartbeat.
+func runFigure(fig georoute.Figure, runs int, progress bool, opts georoute.CampaignOptions) (georoute.FigureResult, error) {
+	if progress {
+		hb := startHeartbeat(fig.ID)
+		defer func() {
+			hb.stop()
+			fmt.Fprintln(os.Stderr)
+		}()
+		opts.Progress = hb.progress
 	}
-	if hook == nil && reg == nil {
-		return fig.Run(runs), nil
-	}
-	return fig.RunObserved(runs, hook, reg)
+	return georoute.RunFigure(context.Background(), fig, runs, opts)
 }
 
 // spreadSuffix renders per-run dispersion when there was more than one

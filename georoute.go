@@ -22,9 +22,9 @@
 // Higher-level entry points:
 //
 //   - Figures returns the registry of runnable paper figures
-//     (fig7a…fig14b); each Figure.Run produces per-bin reception series,
-//     measured γ/λ per arm pair, and the paper-reported values to compare
-//     against.
+//     (fig7a…fig14b); RunFigure runs one and produces per-bin reception
+//     series, measured γ/λ per arm pair, and the paper-reported values to
+//     compare against. RunCampaign runs resumable sweeps of them.
 //   - RunHazard and RunCurve reproduce the traffic-efficiency and
 //     road-safety showcases (Figs 12 and 13).
 //   - BuildWorld exposes the underlying simulation world for custom
@@ -249,8 +249,11 @@ func LookupForwarder(name string) (ForwardStrategy, bool) { return geonet.Lookup
 // WorldConfig.Forwarder accept its name afterwards.
 func RegisterForwarder(s ForwardStrategy) { geonet.RegisterStrategy(s) }
 
-// RunOnce executes a single seeded run of a scenario arm.
-func RunOnce(s Scenario, seed uint64) experiment.RunResult { return experiment.RunOnce(s, seed) }
+// RunOnce executes a single seeded run of a scenario arm with the given
+// observers threaded through the stack (the zero Observe observes nothing).
+func RunOnce(s Scenario, seed uint64, obs Observe) experiment.RunResult {
+	return experiment.RunOnce(s, seed, obs)
+}
 
 // RunArm executes several seeded runs of one arm and merges the series.
 func RunArm(s Scenario, runs int) experiment.RunResult { return experiment.RunArm(s, runs) }
@@ -311,18 +314,6 @@ func NewFileTracer(path string) (*FileTracer, error) { return trace.NewFileTrace
 // AnalyzeTrace reconstructs per-packet hop chains from records and runs
 // the conservation check.
 func AnalyzeTrace(recs []TraceRecord) *TraceAnalysis { return trace.Analyze(recs) }
-
-// RunOnceTraced is RunOnce with a lifecycle tracer threaded through the
-// radio medium, every router, and the attacker.
-func RunOnceTraced(s Scenario, seed uint64, tr *Tracer) experiment.RunResult {
-	return experiment.RunOnceTraced(s, seed, tr)
-}
-
-// TraceHook provisions a per-cell tracer for Figure.RunTraced.
-type TraceHook = experiment.TraceHook
-
-// ExperimentCell identifies one (figure, arm, seed) run unit.
-type ExperimentCell = experiment.Cell
 
 // Telemetry ------------------------------------------------------------------
 //
@@ -400,11 +391,6 @@ func HistogramLogBuckets(start, factor float64, n int) []float64 {
 // Observe bundles the optional per-run observers (lifecycle tracer,
 // telemetry gauges, misbehavior-detection monitors).
 type Observe = experiment.Observe
-
-// RunOnceObserved is RunOnce with observers threaded through the stack.
-func RunOnceObserved(s Scenario, seed uint64, obs Observe) experiment.RunResult {
-	return experiment.RunOnceObserved(s, seed, obs)
-}
 
 // Misbehavior detection --------------------------------------------------
 //
@@ -501,9 +487,16 @@ func RunCampaign(ctx context.Context, sp CampaignSpec, opts CampaignOptions) (Ca
 	return campaign.Run(ctx, sp, opts)
 }
 
+// RunFigure runs one figure with `runs` seeds per arm through the campaign
+// executor, without a journal, and returns its folded result. Of opts it
+// reads Workers, TraceDir, Telemetry, Detect and Progress.
+func RunFigure(ctx context.Context, fig Figure, runs int, opts CampaignOptions) (FigureResult, error) {
+	return campaign.RunFigure(ctx, fig, runs, opts)
+}
+
 // ParseCampaignCellKey inverts CampaignCell.Key ("<figure>/<arm>/<seed>"
 // — the identity the journal and the fabric lease protocol share).
-func ParseCampaignCellKey(key string) (CampaignCell, error) { return campaign.ParseCellKey(key) }
+func ParseCampaignCellKey(key string) (CampaignCell, error) { return experiment.ParseCellKey(key) }
 
 // Distributed campaign fabric ----------------------------------------------
 //
@@ -591,9 +584,8 @@ func RunHazardArtifact(c HazardCase, seeds int) HazardArtifact {
 
 // Metrics --------------------------------------------------------------------
 
-// ABResult pairs attack-free and attacked measurement series. Multi-run
-// harnesses (RunAB, Figure.Run) populate its Spread fields with per-run
-// dispersion statistics.
+// ABResult pairs attack-free and attacked measurement series. RunAB
+// populates its Spread fields with per-run dispersion statistics.
 type ABResult = metrics.ABResult
 
 // BinSeries accumulates per-time-bin reception rates.

@@ -39,7 +39,7 @@ func BenchmarkCBFStorm(b *testing.B) {
 	s.PacketInterval = 500 * time.Millisecond
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r := georoute.RunOnce(s, uint64(i+1))
+		r := georoute.RunOnce(s, uint64(i+1), georoute.Observe{})
 		rate = r.Series.Overall()
 	}
 	b.ReportMetric(100*rate, "reception%")
@@ -61,8 +61,8 @@ func BenchmarkFig7aPairTelemetry(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i + 1)
-		r := georoute.RunOnceObserved(af, seed, obs)
-		georoute.RunOnceObserved(atk, seed, obs)
+		r := georoute.RunOnce(af, seed, obs)
+		georoute.RunOnce(atk, seed, obs)
 		rate = r.Series.Overall()
 	}
 	b.ReportMetric(100*rate, "af-reception%")

@@ -85,9 +85,16 @@ func NewAggregator(sp Spec) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newAggregator(sp, experiment.Figures(), ids), nil
+}
+
+// newAggregator prepares the streaming state for figures ids of figs, the
+// figure definitions cells run against and fold by (a caller may pass
+// modified copies of the registry's figures).
+func newAggregator(sp Spec, figs map[string]experiment.Figure, ids []string) *Aggregator {
 	a := &Aggregator{
 		spec:   sp,
-		figs:   experiment.Figures(),
+		figs:   figs,
 		figIDs: ids,
 		arms:   make(map[string]*armAgg),
 		pairs:  make(map[string]*pairAgg),
@@ -119,7 +126,7 @@ func NewAggregator(sp Spec) (*Aggregator, error) {
 			a.hazard[id] = map[string]*hazardArmAgg{"af": {}, "atk": {}}
 		}
 	}
-	return a, nil
+	return a
 }
 
 // Feed folds one completed cell. It is not safe for concurrent use; the
@@ -166,7 +173,7 @@ func (a *Aggregator) Feed(c Cell, res CellResult) error {
 	if !ok {
 		return fmt.Errorf("campaign: cell %s references unknown figure", key)
 	}
-	idx, err := fig.RunIndex(experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed})
+	idx, err := fig.RunIndex(c)
 	if err != nil {
 		return err
 	}
@@ -199,9 +206,9 @@ func (g *armAgg) feed(idx int, r *experiment.RunResult) {
 		}
 		delete(g.pending, g.next)
 		g.next++
-		// Same fold order and arithmetic as experiment.Figure.Run: the
-		// overall-rate stream sees runs in seed order, and the merged
-		// series accumulates run 0 + run 1 + … left to right.
+		// Seed-order fold: the overall-rate stream sees runs in seed
+		// order, and the merged series accumulates run 0 + run 1 + … left
+		// to right, whatever order the cells completed in.
 		g.overall.Add(r.Series.Overall())
 		if g.merged == nil {
 			g.merged = r.Series.Clone()
@@ -211,7 +218,6 @@ func (g *armAgg) feed(idx int, r *experiment.RunResult) {
 		g.packets += r.PacketsSent
 		g.atkStats.Add(r.AttackerStats)
 		g.proto.Add(r.Protocol)
-		// Seed-order float fold, matching experiment.mergeRuns exactly.
 		g.latSum += r.LatencySumSeconds
 		g.latCount += r.LatencyCount
 		// Detection folds in the same seed order, so resumed campaigns
@@ -273,8 +279,9 @@ func (a *Aggregator) missing() []string {
 	return out
 }
 
-// figureResult reconstructs the same FigureResult a direct Figure.Run of
-// this figure would have produced.
+// figureResult assembles the figure's result from its folded arms and
+// pairs — the one place a FigureResult is built, for campaigns and direct
+// figure runs alike.
 func (a *Aggregator) figureResult(id string) experiment.FigureResult {
 	fig := a.figs[id]
 	res := experiment.FigureResult{

@@ -75,9 +75,9 @@ type FigureArtifact struct {
 }
 
 // BuildFigureArtifact converts a FigureResult into the artifact form.
-// Because Figure.Run and the campaign aggregator fold runs in the same
-// canonical seed order, the artifact built here from a direct run is
-// byte-identical to the one a campaign over the same figure finalizes.
+// RunFigure and a campaign over the same figure share one fold, so the
+// artifact built here from a direct run is byte-identical to the one the
+// campaign finalizes.
 func BuildFigureArtifact(res experiment.FigureResult) FigureArtifact {
 	a := FigureArtifact{
 		ID:         res.Figure.ID,

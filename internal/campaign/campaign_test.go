@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/metrics"
 	"github.com/vanetsec/georoute/internal/showcase"
+	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
 func fig7aSpec(name string, runs int) Spec {
@@ -283,7 +287,7 @@ func TestParseCellKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		got, err := ParseCellKey(c.Key())
+		got, err := experiment.ParseCellKey(c.Key())
 		if err != nil {
 			t.Fatalf("ParseCellKey(%q): %v", c.Key(), err)
 		}
@@ -304,7 +308,7 @@ func TestParseCellKey(t *testing.T) {
 		"fig7a/af_mN/ 1",                   // padded seed
 		"fig7a/af_mN/99999999999999999999", // seed overflows uint64
 	} {
-		if _, err := ParseCellKey(bad); err == nil {
+		if _, err := experiment.ParseCellKey(bad); err == nil {
 			t.Errorf("ParseCellKey(%q) accepted", bad)
 		}
 	}
@@ -330,9 +334,17 @@ func TestJournalRejectsForeignSpec(t *testing.T) {
 // readArtifacts returns name → contents of every .json artifact in dir.
 func readArtifacts(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	out, err := readArtifactDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+func readArtifactDir(dir string) (map[string]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]string)
 	for _, e := range entries {
@@ -345,11 +357,11 @@ func readArtifacts(t *testing.T, dir string) map[string]string {
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		out[e.Name()] = string(b)
 	}
-	return out
+	return out, nil
 }
 
 func TestAggregatorOrderIndependent(t *testing.T) {
@@ -438,58 +450,6 @@ func TestHazardAggregation(t *testing.T) {
 	}
 }
 
-// TestResumeDeterminism is the acceptance check: interrupting a campaign
-// and resuming it produces byte-identical artifacts to running it
-// uninterrupted.
-func TestResumeDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real fig7a cells")
-	}
-	base := t.TempDir()
-	ctx := context.Background()
-
-	// Uninterrupted reference run.
-	ref := fig7aSpec("camp", 1)
-	if _, err := Run(ctx, ref, Options{ResultsDir: filepath.Join(base, "ref")}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: budget of 2 cells, then resume.
-	sp := fig7aSpec("camp", 1)
-	info, err := Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "res"), MaxCells: 2})
-	if err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("MaxCells run: err = %v", err)
-	}
-	if info.Executed != 2 {
-		t.Fatalf("executed %d cells, want 2", info.Executed)
-	}
-	// Re-running without -resume must refuse.
-	if _, err := Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "res")}); err == nil {
-		t.Fatal("second run without Resume accepted")
-	}
-	info, err = Run(ctx, sp, Options{ResultsDir: filepath.Join(base, "res"), Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Replayed != 2 {
-		t.Fatalf("resume replayed %d cells, want 2", info.Replayed)
-	}
-
-	got := readArtifacts(t, filepath.Join(base, "res", "camp"))
-	want := readArtifacts(t, filepath.Join(base, "ref", "camp"))
-	if len(want) == 0 {
-		t.Fatal("reference run wrote no artifacts")
-	}
-	if !reflect.DeepEqual(got, want) {
-		for name := range want {
-			if got[name] != want[name] {
-				t.Errorf("artifact %s differs between resumed and uninterrupted runs", name)
-			}
-		}
-		t.FailNow()
-	}
-}
-
 func TestCampaignCancelAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a and fig13 cells")
@@ -536,28 +496,219 @@ func TestCampaignCancelAndResume(t *testing.T) {
 	}
 }
 
-// TestCampaignMatchesDirectFigureRun pins the cross-path determinism
-// claim: a campaign over a figure finalizes the exact artifact a direct
-// Figure.Run produces.
+func TestRunFigureRejectsUnknownPairArms(t *testing.T) {
+	fig := experiment.Figures()["fig7a"]
+	fig.Pairs = []experiment.Pair{{Label: "bad", Free: "af_wN", Attacked: "nope"}}
+	if _, err := RunFigure(context.Background(), fig, 1, Options{}); err == nil {
+		t.Fatal("pair over an unknown arm accepted")
+	}
+}
+
+// The byte-identity tests below compare every other way of producing the
+// fig7a figure against one reference campaign, run once per test binary
+// by referenceArtifacts. readArtifacts skips resources.json, which holds
+// wall-clock measurements.
+var (
+	refOnce sync.Once
+	refArts map[string]string
+	refErr  error
+)
+
+const refRuns = 1
+
+func refSpec() Spec { return fig7aSpec("camp", refRuns) }
+
+// referenceArtifacts runs the reference fig7a campaign on first use and
+// returns its artifacts, keyed by file name.
+func referenceArtifacts(t *testing.T) map[string]string {
+	t.Helper()
+	refOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "campaign-ref-")
+		if err != nil {
+			refErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		sp := refSpec()
+		if _, err := Run(context.Background(), sp, Options{ResultsDir: dir}); err != nil {
+			refErr = err
+			return
+		}
+		refArts, refErr = readArtifactDir(filepath.Join(dir, sp.Name))
+		if refErr == nil && len(refArts) == 0 {
+			refErr = errors.New("reference run wrote no artifacts")
+		}
+	})
+	if refErr != nil {
+		t.Fatalf("reference campaign: %v", refErr)
+	}
+	if _, ok := refArts["detection.json"]; ok {
+		t.Error("detection-off run wrote detection.json")
+	}
+	return refArts
+}
+
+// runVariant runs the reference spec with opts under a fresh results
+// directory and returns its artifacts.
+func runVariant(t *testing.T, opts Options) map[string]string {
+	t.Helper()
+	sp := refSpec()
+	opts.ResultsDir = t.TempDir()
+	if _, err := Run(context.Background(), sp, opts); err != nil {
+		t.Fatal(err)
+	}
+	return readArtifacts(t, filepath.Join(opts.ResultsDir, sp.Name))
+}
+
+// sameArtifacts reports every artifact of want that got does not
+// reproduce byte for byte.
+func sameArtifacts(t *testing.T, got, want map[string]string, variant string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("artifact sets differ %s: got %v, want %v", variant, keys(got), keys(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("artifact %s differs %s", name, variant)
+		}
+	}
+}
+
+// TestResumeDeterminism interrupts a campaign after two cells, checks a
+// re-run without Resume is refused, resumes it from the journal and
+// requires the reference artifacts byte for byte.
+func TestResumeDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real fig7a cells")
+	}
+	want := referenceArtifacts(t)
+	ctx := context.Background()
+	sp := refSpec()
+	opts := Options{ResultsDir: t.TempDir(), MaxCells: 2}
+	info, err := Run(ctx, sp, opts)
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("MaxCells run: err = %v", err)
+	}
+	if info.Executed != 2 {
+		t.Fatalf("executed %d cells, want 2", info.Executed)
+	}
+	// Re-running without Resume must refuse.
+	opts.MaxCells = 0
+	if _, err := Run(ctx, sp, opts); err == nil {
+		t.Fatal("second run without Resume accepted")
+	}
+	opts.Resume = true
+	info, err = Run(ctx, sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 2 {
+		t.Fatalf("resume replayed %d cells, want 2", info.Replayed)
+	}
+	sameArtifacts(t, readArtifacts(t, filepath.Join(opts.ResultsDir, sp.Name)), want,
+		"between resumed and uninterrupted runs")
+}
+
+// TestCampaignTelemetryByteIdentical runs the campaign with a live
+// telemetry registry: the artifacts must not change, and the registry
+// must actually have observed the run.
+func TestCampaignTelemetryByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real fig7a cells")
+	}
+	want := referenceArtifacts(t)
+	reg := telemetry.NewRegistry()
+	sameArtifacts(t, runVariant(t, Options{Telemetry: reg}), want, "with telemetry on")
+	var done, evTotal float64
+	for _, s := range reg.Snapshot() {
+		switch s.Name {
+		case "georoute_campaign_cells_done":
+			done = s.Value
+		case "georoute_engine_events_total":
+			evTotal = s.Value
+		}
+	}
+	if done == 0 {
+		t.Error("campaign progress gauges never updated")
+	}
+	if evTotal == 0 {
+		t.Error("per-worker samplers never pushed event counts")
+	}
+}
+
+// TestCampaignDetectionArtifact arms the misbehavior-detection monitors:
+// detection.json must meet its quality gates, stay out of the summary's
+// figure index, and every other artifact must match the reference.
+func TestCampaignDetectionArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real fig7a cells")
+	}
+	want := referenceArtifacts(t)
+	got := runVariant(t, Options{Detect: true})
+	raw, ok := got["detection.json"]
+	if !ok {
+		t.Fatal("detection.json not written")
+	}
+	// Full recall on the attack arms, a zero false-alarm budget on the
+	// benign arms.
+	var art DetectionArtifact
+	if err := json.Unmarshal([]byte(raw), &art); err != nil {
+		t.Fatal(err)
+	}
+	arms, ok := art.Figures["fig7a"]
+	if !ok {
+		t.Fatalf("detection.json missing fig7a: %+v", art)
+	}
+	for label, s := range arms {
+		attacked := strings.HasPrefix(label, "atk")
+		switch {
+		case attacked && s.Recall < 0.9:
+			t.Errorf("arm %s: recall %v < 0.9 (%+v)", label, s.Recall, s)
+		case attacked && s.MeanLatencySeconds <= 0:
+			t.Errorf("arm %s: detected without latency (%+v)", label, s)
+		case !attacked && (s.Verdicts != 0 || s.FalseAlarmRate != 0):
+			t.Errorf("arm %s: benign arm raised %d verdicts (%+v)", label, s.Verdicts, s)
+		}
+	}
+	// detection.json is not part of the figure index.
+	var sum Summary
+	if err := json.Unmarshal([]byte(got["summary.json"]), &sum); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sum.Figures {
+		if f == "detection" {
+			t.Error("summary.json lists detection in its figure index")
+		}
+	}
+	delete(got, "detection.json")
+	sameArtifacts(t, got, want, "with detection enabled")
+}
+
+// TestCampaignMatchesDirectFigureRun runs fig7a directly, without a
+// journal, through RunFigure: its artifact must equal the campaign's
+// fig7a.json.
 func TestCampaignMatchesDirectFigureRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real fig7a cells")
 	}
-	base := t.TempDir()
-	sp := fig7aSpec("direct", 1)
-	if _, err := Run(context.Background(), sp, Options{ResultsDir: base}); err != nil {
-		t.Fatal(err)
-	}
-	fromCampaign, err := os.ReadFile(filepath.Join(base, "direct", "fig7a.json"))
+	want := referenceArtifacts(t)
+	res, err := RunFigure(context.Background(), experiment.Figures()["fig7a"], refRuns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := experiment.Figures()["fig7a"].Run(1)
 	direct, err := marshalArtifact(BuildFigureArtifact(res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(fromCampaign) != string(direct) {
-		t.Fatal("campaign artifact differs from direct Figure.Run artifact")
+	if string(direct) != want["fig7a.json"] {
+		t.Fatal("RunFigure artifact differs from the campaign's fig7a.json")
 	}
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
 }

@@ -84,18 +84,10 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	if opts.ResultsDir == "" {
 		opts.ResultsDir = "results"
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = experiment.MaxParallel()
-	}
 	dir := filepath.Join(opts.ResultsDir, sp.Name)
 	info := Info{Dir: dir}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return info, fmt.Errorf("campaign: %w", err)
-	}
-	if opts.TraceDir != "" {
-		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
-			return info, fmt.Errorf("campaign: %w", err)
-		}
 	}
 
 	journalPath := filepath.Join(dir, "journal.jsonl")
@@ -133,14 +125,6 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 			todo = append(todo, c)
 		}
 	}
-	if opts.Progress != nil {
-		opts.Progress(info.Replayed, info.Total, info.Replayed, "")
-	}
-	if cg := telemetry.NewCampaignGauges(opts.Telemetry); cg != nil {
-		cg.CellsTotal.Set(float64(info.Total))
-		cg.CellsDone.Set(float64(info.Replayed))
-		cg.CellsReplayed.Set(float64(info.Replayed))
-	}
 
 	// Budget for this process: the MaxCells prefix of the canonical
 	// remainder, so interruption points are deterministic under test.
@@ -151,7 +135,7 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 		interrupted = true
 	}
 
-	if err := runPool(ctx, sp, dispatch, opts, j, agg, &info); err != nil {
+	if err := runPool(ctx, dispatch, opts, j, agg, &info); err != nil {
 		return info, err
 	}
 	if ctx.Err() != nil || interrupted {
@@ -160,21 +144,70 @@ func Run(ctx context.Context, sp Spec, opts Options) (Info, error) {
 	return info, agg.Finalize(dir)
 }
 
-// runPool shards the cells across the worker pool, journaling and
-// aggregating each completion from a single collector loop.
-func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Journal, agg *Aggregator, info *Info) error {
+// RunFigure runs every (arm × seed) cell of one figure, `runs` seeds per
+// arm, and returns the folded result: a campaign of one figure without a
+// journal or artifacts. It shares the campaign's cell executor and
+// aggregator, so the artifact built from its result is byte-identical to
+// the one a campaign over the same figure finalizes. fig may be a modified
+// copy of a registry figure (for example with every arm's forwarder
+// overridden). Of opts it reads only Workers, TraceDir, Telemetry, Detect
+// and Progress. On context cancellation it returns ErrInterrupted.
+func RunFigure(ctx context.Context, fig experiment.Figure, runs int, opts Options) (experiment.FigureResult, error) {
+	if runs <= 0 {
+		runs = 1
+	}
+	for _, p := range fig.Pairs {
+		_, okF := fig.Arm(p.Free)
+		_, okA := fig.Arm(p.Attacked)
+		if !okF || !okA {
+			return experiment.FigureResult{}, fmt.Errorf("campaign: figure %s pair %q references unknown arms", fig.ID, p.Label)
+		}
+	}
+	cells := fig.Cells(runs)
+	agg := newAggregator(Spec{Runs: runs}, map[string]experiment.Figure{fig.ID: fig}, []string{fig.ID})
+	info := Info{Total: len(cells)}
+	if err := runPool(ctx, cells, opts, nil, agg, &info); err != nil {
+		return experiment.FigureResult{}, err
+	}
+	if ctx.Err() != nil {
+		return experiment.FigureResult{}, fmt.Errorf("%w: %d/%d cells run", ErrInterrupted, info.Executed, info.Total)
+	}
+	return agg.figureResult(fig.ID), nil
+}
+
+// runPool shards the cells across the worker pool, journaling (when j is
+// non-nil) and aggregating each completion from a single collector loop.
+// It reports progress — replayed cells once, up front, then every
+// completion — through opts.Progress and the telemetry campaign gauges.
+func runPool(ctx context.Context, dispatch []Cell, opts Options, j *Journal, agg *Aggregator, info *Info) error {
+	if opts.Progress != nil {
+		opts.Progress(info.Replayed, info.Total, info.Replayed, "")
+	}
+	cg := telemetry.NewCampaignGauges(opts.Telemetry)
+	if cg != nil {
+		cg.CellsTotal.Set(float64(info.Total))
+		cg.CellsDone.Set(float64(info.Replayed))
+		cg.CellsReplayed.Set(float64(info.Replayed))
+	}
 	if len(dispatch) == 0 {
 		return nil
+	}
+	if opts.TraceDir != "" {
+		if err := os.MkdirAll(opts.TraceDir, 0o755); err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
 	}
 	// A local cancel stops the feeder early when a cell or journal write
 	// fails; the caller's context stays untouched.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	workers := opts.Workers
+	if workers <= 0 {
+		workers = experiment.MaxParallel()
+	}
 	if workers > len(dispatch) {
 		workers = len(dispatch)
 	}
-	figs := experiment.Figures()
 
 	type completion struct {
 		cell Cell
@@ -191,7 +224,7 @@ func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Jou
 			defer wg.Done()
 			gauges := telemetry.NewRunGauges(opts.Telemetry, worker)
 			for c := range jobs {
-				res, err := runCell(figs, c, opts.TraceDir, opts.Detect, gauges)
+				res, err := runCell(agg.figs, c, opts.TraceDir, opts.Detect, gauges)
 				results <- completion{cell: c, res: res, err: err}
 			}
 		}(w)
@@ -211,7 +244,6 @@ func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Jou
 		close(results)
 	}()
 
-	cg := telemetry.NewCampaignGauges(opts.Telemetry)
 	poolStart := time.Now()
 
 	var firstErr error
@@ -229,9 +261,11 @@ func runPool(ctx context.Context, sp Spec, dispatch []Cell, opts Options, j *Jou
 		if firstErr != nil {
 			continue // drain remaining completions without journaling
 		}
-		if err := j.Record(d.cell.Key(), d.res); err != nil {
-			fail(err)
-			continue
+		if j != nil {
+			if err := j.Record(d.cell.Key(), d.res); err != nil {
+				fail(err)
+				continue
+			}
 		}
 		if err := agg.Feed(d.cell, d.res); err != nil {
 			fail(err)
@@ -301,10 +335,7 @@ func runCell(figs map[string]experiment.Figure, c Cell, traceDir string, detectO
 				return CellResult{}, err
 			}
 		}
-		rr, err := fig.RunCellObserved(
-			experiment.Cell{Figure: c.Figure, Arm: c.Arm, Seed: c.Seed},
-			experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn},
-		)
+		rr, err := fig.RunCell(c, experiment.Observe{Tracer: ft.Tracer(), Gauges: gauges, Detect: detectOn})
 		if ft != nil {
 			if cerr := ft.Close(); cerr != nil && err == nil {
 				err = cerr

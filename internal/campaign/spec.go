@@ -139,33 +139,11 @@ func (sp Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cell identifies one runnable unit of the campaign. Figure cells carry
-// the registry figure ID; showcase cells use the fig12a/fig12b/fig13 IDs
-// with arms "af"/"atk".
-type Cell struct {
-	Figure string
-	Arm    string
-	Seed   uint64
-}
-
-// Key renders the stable journal key, "<figure>/<arm>/<seed>".
-func (c Cell) Key() string { return fmt.Sprintf("%s/%s/%d", c.Figure, c.Arm, c.Seed) }
-
-// ParseCellKey inverts Key. The fabric reuses cell keys verbatim as the
-// unit of leasing, so malformed keys must fail here — before a bogus
-// lease ever reaches a worker or a journal.
-func ParseCellKey(key string) (Cell, error) {
-	ec, err := experiment.ParseCellKey(key)
-	if err != nil {
-		return Cell{}, fmt.Errorf("campaign: %w", err)
-	}
-	return Cell{Figure: ec.Figure, Arm: ec.Arm, Seed: ec.Seed}, nil
-}
-
-// isShowcase reports whether the cell runs outside the figure registry.
-func (c Cell) isShowcase() bool {
-	return c.Figure == hazardGFID || c.Figure == hazardCBFID || c.Figure == curveID
-}
+// Cell identifies one runnable unit of the campaign: a figure cell of the
+// experiment registry, or a showcase cell with a fig12a/fig12b/fig13 ID
+// and arm "af"/"atk". Its Key is the stable journal key the fabric also
+// leases by, and experiment.ParseCellKey inverts it.
+type Cell = experiment.Cell
 
 // Cells enumerates every cell of the campaign in canonical order: sorted
 // figure IDs (arm declaration order, ascending seed within each), then the
@@ -180,9 +158,7 @@ func (sp Spec) Cells() ([]Cell, error) {
 	figs := experiment.Figures()
 	var cells []Cell
 	for _, id := range ids {
-		for _, ec := range figs[id].Cells(sp.Runs) {
-			cells = append(cells, Cell{Figure: ec.Figure, Arm: ec.Arm, Seed: ec.Seed})
-		}
+		cells = append(cells, figs[id].Cells(sp.Runs)...)
 	}
 	for _, id := range []string{hazardGFID, hazardCBFID} {
 		for _, arm := range []string{"af", "atk"} {

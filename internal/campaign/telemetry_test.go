@@ -1,66 +1,11 @@
 package campaign
 
 import (
-	"context"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"github.com/vanetsec/georoute/internal/experiment"
-	"github.com/vanetsec/georoute/internal/telemetry"
 )
-
-// TestCampaignTelemetryByteIdentical is the PR's acceptance check at the
-// campaign level: running the same spec with a live telemetry registry
-// attached produces byte-identical artifacts to running it without
-// (resources.json, which holds wall-clock measurements, is excluded by
-// readArtifacts's caller-side skip).
-func TestCampaignTelemetryByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real fig7a cells")
-	}
-	base := t.TempDir()
-	ctx := context.Background()
-
-	if _, err := Run(ctx, fig7aSpec("camp", 1), Options{ResultsDir: filepath.Join(base, "off")}); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	if _, err := Run(ctx, fig7aSpec("camp", 1), Options{ResultsDir: filepath.Join(base, "on"), Telemetry: reg}); err != nil {
-		t.Fatal(err)
-	}
-
-	got := readArtifacts(t, filepath.Join(base, "on", "camp"))
-	want := readArtifacts(t, filepath.Join(base, "off", "camp"))
-	if len(want) == 0 {
-		t.Fatal("telemetry-off run wrote no artifacts")
-	}
-	if !reflect.DeepEqual(got, want) {
-		for name := range want {
-			if got[name] != want[name] {
-				t.Errorf("artifact %s differs with telemetry on", name)
-			}
-		}
-		t.FailNow()
-	}
-
-	// The registry must actually have observed the run.
-	var done, evTotal float64
-	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "georoute_campaign_cells_done":
-			done = s.Value
-		case "georoute_engine_events_total":
-			evTotal = s.Value
-		}
-	}
-	if done == 0 {
-		t.Error("campaign progress gauges never updated")
-	}
-	if evTotal == 0 {
-		t.Error("per-worker samplers never pushed event counts")
-	}
-}
 
 // TestResourcesJournalRoundTrip: the per-cell resource record written on
 // a journal line survives replay intact.

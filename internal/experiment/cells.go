@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"github.com/vanetsec/georoute/internal/trace"
 )
 
 // Cell identifies one independently runnable unit of an experiment sweep:
-// a single seeded run of one arm of one figure. Cell keys are the stable
-// identity used by the campaign journal — they must never change meaning
-// across versions, or resumed campaigns would silently re-use results from
-// a different experiment.
+// a single seeded run of one arm of one figure (campaigns name their
+// showcase runs the same way). Cell keys are the stable identity used by
+// the campaign journal — they must never change meaning across versions,
+// or resumed campaigns would silently re-use results from a different
+// experiment.
 type Cell struct {
 	Figure string
 	Arm    string
@@ -68,20 +67,9 @@ func (f Figure) Cells(runs int) []Cell {
 	return cells
 }
 
-// RunCell executes one cell of the figure.
-func (f Figure) RunCell(c Cell) (RunResult, error) {
-	return f.RunCellTraced(c, nil)
-}
-
-// RunCellTraced executes one cell with a lifecycle tracer threaded through
-// the run (nil behaves exactly like RunCell).
-func (f Figure) RunCellTraced(c Cell, tr *trace.Tracer) (RunResult, error) {
-	return f.RunCellObserved(c, Observe{Tracer: tr})
-}
-
-// RunCellObserved executes one cell with both observability sinks (see
-// Observe); the zero Observe behaves exactly like RunCell.
-func (f Figure) RunCellObserved(c Cell, obs Observe) (RunResult, error) {
+// RunCell executes one cell of the figure with the given observability
+// sinks (see Observe; the zero Observe is an unobserved run).
+func (f Figure) RunCell(c Cell, obs Observe) (RunResult, error) {
 	if c.Figure != f.ID {
 		return RunResult{}, fmt.Errorf("experiment: cell %s run against figure %s", c.Key(), f.ID)
 	}
@@ -89,7 +77,7 @@ func (f Figure) RunCellObserved(c Cell, obs Observe) (RunResult, error) {
 	if !ok {
 		return RunResult{}, fmt.Errorf("experiment: cell %s references unknown arm", c.Key())
 	}
-	return RunOnceObserved(s, c.Seed, obs), nil
+	return RunOnce(s, c.Seed, obs), nil
 }
 
 // RunIndex converts a cell's absolute seed back to its 0-based run index

@@ -13,7 +13,7 @@ import (
 // lifecycle analysis of every packet it produced.
 func analyzeRun(s Scenario, seed uint64) *trace.Analysis {
 	mem := &trace.MemorySink{}
-	RunOnceTraced(s, seed, trace.New(mem))
+	RunOnce(s, seed, Observe{Tracer: trace.New(mem)})
 	return trace.Analyze(mem.Records)
 }
 
@@ -95,7 +95,7 @@ func TestFig7aGoldenBitIdenticalTraced(t *testing.T) {
 		t.Skip("full scenario run")
 	}
 	mem := &trace.MemorySink{}
-	got := serializeResult(RunOnceTraced(fig7aScenario(), 42, trace.New(mem)))
+	got := serializeResult(RunOnce(fig7aScenario(), 42, Observe{Tracer: trace.New(mem)}))
 	if got != fig7aGolden {
 		t.Errorf("traced Fig. 7a diverged from the untraced golden:\ngot:\n%s\nwant:\n%s", got, fig7aGolden)
 	}

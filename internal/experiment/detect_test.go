@@ -16,7 +16,7 @@ func TestFig7aGoldenWithDetection(t *testing.T) {
 		t.Skip("full scenario run")
 	}
 	reg := telemetry.NewRegistry()
-	res := RunOnceObserved(fig7aScenario(), 42, Observe{
+	res := RunOnce(fig7aScenario(), 42, Observe{
 		Detect: true,
 		Gauges: telemetry.NewRunGauges(reg, 0),
 	})
@@ -41,8 +41,8 @@ func TestFig7aGoldenWithDetection(t *testing.T) {
 // carries no Detection summary.
 func TestDetectionOffLeavesResultUntouched(t *testing.T) {
 	s := tinyScenario()
-	plain := RunOnce(s, 7)
-	detected := RunOnceObserved(s, 7, Observe{Detect: true})
+	plain := RunOnce(s, 7, Observe{})
+	detected := RunOnce(s, 7, Observe{Detect: true})
 	if got, want := serializeResult(detected), serializeResult(plain); got != want {
 		t.Errorf("detection perturbed the run:\nwith:\n%s\nwithout:\n%s", got, want)
 	}
@@ -72,7 +72,7 @@ func TestDetectionBenignZeroFalsePositives(t *testing.T) {
 				seeds = seeds[:1] // fig9a runs are the slow ones
 			}
 			for _, seed := range seeds {
-				res := RunOnceObserved(arm.Scenario, seed, Observe{Detect: true})
+				res := RunOnce(arm.Scenario, seed, Observe{Detect: true})
 				if s := res.Detection; s.Verdicts != 0 || s.Detected {
 					t.Errorf("%s/%s seed %d: benign arm raised %d verdicts (checks %v)",
 						name, arm.Label, seed, s.Verdicts, s.Checks)
@@ -96,7 +96,7 @@ func TestDetectionAttackArmsDetected(t *testing.T) {
 			if arm.Scenario.AttackMode == 0 {
 				continue
 			}
-			res := RunOnceObserved(arm.Scenario, arm.Scenario.Seed, Observe{Detect: true})
+			res := RunOnce(arm.Scenario, arm.Scenario.Seed, Observe{Detect: true})
 			s := res.Detection
 			if !s.Detected {
 				t.Errorf("%s/%s: attack arm not detected", name, arm.Label)

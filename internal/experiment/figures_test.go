@@ -110,39 +110,6 @@ func TestFigurePaperDropsRecorded(t *testing.T) {
 	}
 }
 
-func TestFigureRunSmall(t *testing.T) {
-	// End-to-end check of the figure runner on a scaled-down custom
-	// figure: series lengths, drops and accumulated drops all populated.
-	s := Default()
-	s.Duration = 30 * time.Second
-	s.Drain = 10 * time.Second
-	s.AttackMode = attack.InterArea
-	s.AttackRange = radio.Range(radio.DSRC, radio.LoSMedian)
-	fig := Figure{
-		ID:    "test",
-		Title: "scaled",
-		Arms: []Arm{
-			{Label: "af", Scenario: s.withoutAttack()},
-			{Label: "atk", Scenario: s},
-		},
-		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "atk", PaperDrop: 0.99}},
-	}
-	res := fig.Run(1)
-	if len(res.Rates["af"]) != 6 || len(res.Rates["atk"]) != 6 {
-		t.Fatalf("rates have %d/%d bins, want 6", len(res.Rates["af"]), len(res.Rates["atk"]))
-	}
-	if res.Overall["af"] <= res.Overall["atk"] {
-		t.Fatalf("af %.2f should exceed atk %.2f under an mL attacker",
-			res.Overall["af"], res.Overall["atk"])
-	}
-	if d := res.Drops["p"]; d < 0.8 {
-		t.Fatalf("mL drop = %v, want near-total interception", d)
-	}
-	if len(res.AccumDrops["p"]) != 6 {
-		t.Fatalf("accumulated drops missing")
-	}
-}
-
 func TestScenarioVulnerablePredicate(t *testing.T) {
 	s := Default() // attacker mid-road (2000), wN range 327, vehicles 486
 	// margin = 327-486 = -159: eastbound vulnerable iff src <= 1841.
@@ -184,8 +151,8 @@ func TestRunABPairsPopulations(t *testing.T) {
 	s.Duration = 20 * time.Second
 	s.Drain = 5 * time.Second
 	s.AttackMode = attack.InterArea
-	free := RunOnce(s.withoutAttack(), 7)
-	atk := RunOnce(s, 7)
+	free := RunOnce(s.withoutAttack(), 7, Observe{})
+	atk := RunOnce(s, 7, Observe{})
 	if free.PacketsSent != atk.PacketsSent {
 		t.Fatalf("arm populations differ: %d vs %d", free.PacketsSent, atk.PacketsSent)
 	}

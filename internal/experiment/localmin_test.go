@@ -27,7 +27,7 @@ func localMinScenario(fw string) Scenario {
 // perimeter recovery walks the same packets around the gap and delivers
 // all of them.
 func TestLocalMinimumDifferential(t *testing.T) {
-	gf := RunOnce(localMinScenario(""), 7)
+	gf := RunOnce(localMinScenario(""), 7, Observe{})
 	if gf.PacketsSent == 0 {
 		t.Fatal("gf-cbf: no packets generated")
 	}
@@ -44,7 +44,7 @@ func TestLocalMinimumDifferential(t *testing.T) {
 		t.Errorf("gf-cbf GFPerimeter = %d, want 0", gf.Protocol.GFPerimeter)
 	}
 
-	gp := RunOnce(localMinScenario("gpsr"), 7)
+	gp := RunOnce(localMinScenario("gpsr"), 7, Observe{})
 	if gp.PacketsSent != gf.PacketsSent {
 		t.Errorf("packet populations differ: gpsr %d, gf-cbf %d", gp.PacketsSent, gf.PacketsSent)
 	}

@@ -78,24 +78,13 @@ type Observe struct {
 	Verdicts func(detect.Verdict)
 }
 
-// RunOnce executes a single seeded run of the scenario arm and returns
-// its bin series.
-func RunOnce(s Scenario, seed uint64) RunResult {
-	return RunOnceObserved(s, seed, Observe{})
-}
-
-// RunOnceTraced is RunOnce with a lifecycle tracer threaded through the
-// radio medium, every router stack, and the attacker. A nil tracer is
-// exactly RunOnce. The tracer's sinks see the run's records from a single
+// RunOnce executes a single seeded run of the scenario arm with the given
+// observability sinks threaded through the world (see Observe; the zero
+// Observe is an unobserved run) and returns its bin series. No sink
+// influences the event stream, so the measured series are identical with
+// or without them. A tracer's sinks see the run's records from a single
 // goroutine, but distinct concurrent runs need distinct tracers.
-func RunOnceTraced(s Scenario, seed uint64, tr *trace.Tracer) RunResult {
-	return RunOnceObserved(s, seed, Observe{Tracer: tr})
-}
-
-// RunOnceObserved is RunOnce with both observability sinks threaded
-// through the world (see Observe). Neither sink influences the event
-// stream, so the measured series are identical across all variants.
-func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
+func RunOnce(s Scenario, seed uint64, obs Observe) RunResult {
 	tr := obs.Tracer
 	reg := make(map[geonet.Key]*tracked)
 
@@ -126,6 +115,17 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	}
 
 	var w *vanet.World
+	// sent lists the tracked packets in send order: the series folds them
+	// in this order, so float sums are the same on every run (map order
+	// is not).
+	var sent []*tracked
+	track := func(key geonet.Key, t *tracked) {
+		t.sentAt = w.Engine.Now()
+		t.received = make(map[geonet.Address]bool)
+		reg[key] = t
+		sent = append(sent, t)
+	}
+
 	var latSum float64
 	var latCount uint64
 	firstDelivery := func(t *tracked, addr geonet.Address) {
@@ -214,12 +214,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 				return
 			}
 			_, _, destPos := LocalMinLayout(s.VehicleRange())
-			key := r.SendGeoUnicast(vanet.EastDestAddr, destPos, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				dest:     vanet.EastDestAddr,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoUnicast(vanet.EastDestAddr, destPos, nil), &tracked{dest: vanet.EastDestAddr})
 			return
 		}
 		switch s.Workload {
@@ -250,12 +245,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 			if p.dst == vanet.EastDestAddr {
 				destPos = geo.Pt(s.RoadLength+20, 0)
 			}
-			key := r.SendGeoUnicast(p.dst, destPos, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				dest:     p.dst,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoUnicast(p.dst, destPos, nil), &tracked{dest: p.dst})
 		case IntraArea:
 			vs := w.Vehicles()
 			if len(vs) == 0 {
@@ -273,12 +263,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 				}
 				targets[vanet.AddrOf(v)] = true
 			}
-			key := r.SendGeoBroadcast(area, nil)
-			reg[key] = &tracked{
-				sentAt:   w.Engine.Now(),
-				targets:  targets,
-				received: make(map[geonet.Address]bool),
-			}
+			track(r.SendGeoBroadcast(area, nil), &tracked{targets: targets})
 		}
 	}
 
@@ -292,7 +277,7 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	w.SampleTelemetry()
 
 	series := metrics.NewBinSeries(s.Duration, s.BinWidth)
-	for _, t := range reg {
+	for _, t := range sent {
 		switch s.Workload {
 		case InterArea:
 			v := 0.0
@@ -322,59 +307,37 @@ func RunOnceObserved(s Scenario, seed uint64, obs Observe) RunResult {
 	return res
 }
 
-// runJob is one seeded RunOnce executed by the shared worker pool. tr
-// and done are set by traced figure runs: the job's run emits into tr,
-// and done (typically flush-and-close of a per-cell trace file) runs on
-// the worker right after the run completes.
+// runJob is one seeded RunOnce executed by the shared worker pool.
 type runJob struct {
 	s    Scenario
 	seed uint64
 	out  *RunResult
-	tr   *trace.Tracer
-	done func() error
 }
 
 // runJobs executes every job on MaxParallel() workers pulling from one
 // shared queue. Jobs are independent seeded runs writing to disjoint
 // result slots, so the output is deterministic regardless of scheduling.
-// A non-nil telemetry registry gives each worker its own worker="N" gauge
-// bundle, reused across that worker's runs. The returned error is the
-// first done-callback failure (always nil for untraced jobs); all jobs
-// run to completion regardless.
-func runJobs(jobs []runJob, reg *telemetry.Registry) error {
+func runJobs(jobs []runJob) {
 	workers := MaxParallel()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
 	ch := make(chan runJob)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			gauges := telemetry.NewRunGauges(reg, worker)
 			for j := range ch {
-				*j.out = RunOnceObserved(j.s, j.seed, Observe{Tracer: j.tr, Gauges: gauges})
-				if j.done != nil {
-					if err := j.done(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
+				*j.out = RunOnce(j.s, j.seed, Observe{})
 			}
-		}(w)
+		}()
 	}
 	for _, j := range jobs {
 		ch <- j
 	}
 	close(ch)
 	wg.Wait()
-	return firstErr
 }
 
 // armJobs appends one job per seeded repetition of an arm.
@@ -411,7 +374,7 @@ func RunArm(s Scenario, runs int) RunResult {
 		runs = 1
 	}
 	out := make([]RunResult, runs)
-	runJobs(armJobs(nil, s, out), nil)
+	runJobs(armJobs(nil, s, out))
 	return mergeRuns(out)
 }
 
@@ -456,7 +419,7 @@ func RunAB(s Scenario, runs int) metrics.ABResult {
 	jobs := make([]runJob, 0, 2*runs)
 	jobs = armJobs(jobs, s.withoutAttack(), freeOut)
 	jobs = armJobs(jobs, s, atkOut)
-	runJobs(jobs, nil)
+	runJobs(jobs)
 	// Spreads read per-run series and must run before mergeRuns, which
 	// folds every run into the first slot's series in place.
 	res := metrics.ABResult{

@@ -29,14 +29,14 @@ func TestRunJobsFewerJobsThanWorkers(t *testing.T) {
 	// count and still execute everything exactly once.
 	s := tinyScenario()
 	out := make([]RunResult, 1)
-	runJobs(armJobs(nil, s, out), nil)
+	runJobs(armJobs(nil, s, out))
 	if out[0].Series == nil || out[0].PacketsSent == 0 {
 		t.Fatalf("single job not executed: %+v", out[0])
 	}
 }
 
 func TestRunJobsEmpty(t *testing.T) {
-	runJobs(nil, nil) // must not deadlock or panic
+	runJobs(nil) // must not deadlock or panic
 }
 
 func TestArmJobsSeedsAndSlots(t *testing.T) {
@@ -178,55 +178,19 @@ func TestRunCellMatchesRunOnce(t *testing.T) {
 		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "af", PaperDrop: -1}},
 	}
 	c := Cell{Figure: "test", Arm: "af", Seed: 1}
-	got, err := fig.RunCell(c)
+	got, err := fig.RunCell(c, Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RunOnce(tinyScenario(), 1)
+	want := RunOnce(tinyScenario(), 1, Observe{})
 	if got.PacketsSent != want.PacketsSent || got.Series.Overall() != want.Series.Overall() {
 		t.Fatalf("RunCell diverges from RunOnce: %d/%v vs %d/%v",
 			got.PacketsSent, got.Series.Overall(), want.PacketsSent, want.Series.Overall())
 	}
-	if _, err := fig.RunCell(Cell{Figure: "test", Arm: "nope", Seed: 1}); err == nil {
+	if _, err := fig.RunCell(Cell{Figure: "test", Arm: "nope", Seed: 1}, Observe{}); err == nil {
 		t.Fatal("unknown arm accepted")
 	}
-	if _, err := fig.RunCell(Cell{Figure: "other", Arm: "af", Seed: 1}); err == nil {
+	if _, err := fig.RunCell(Cell{Figure: "other", Arm: "af", Seed: 1}, Observe{}); err == nil {
 		t.Fatal("foreign figure accepted")
-	}
-}
-
-func TestFigureRunReportsSpread(t *testing.T) {
-	s := tinyScenario()
-	s.AttackMode = attack.InterArea
-	s.AttackRange = radio.Range(radio.DSRC, radio.LoSMedian)
-	fig := Figure{
-		ID:    "test",
-		Title: "spread",
-		Arms: []Arm{
-			{Label: "af", Scenario: s.withoutAttack()},
-			{Label: "atk", Scenario: s},
-		},
-		Pairs: []Pair{{Label: "p", Free: "af", Attacked: "atk", PaperDrop: -1}},
-	}
-	res := fig.Run(2)
-	if res.Runs != 2 {
-		t.Fatalf("Runs = %d", res.Runs)
-	}
-	for _, arm := range []string{"af", "atk"} {
-		if res.ArmSpread[arm].Runs != 2 {
-			t.Errorf("%s: ArmSpread.Runs = %d", arm, res.ArmSpread[arm].Runs)
-		}
-		if res.Packets[arm] == 0 {
-			t.Errorf("%s: no packets recorded", arm)
-		}
-	}
-	if res.DropSpread["p"].Runs != 2 {
-		t.Errorf("DropSpread.Runs = %d", res.DropSpread["p"].Runs)
-	}
-	if res.Attacker["atk"].BeaconsReplayed == 0 {
-		t.Error("attacked arm recorded no attacker activity")
-	}
-	if res.Attacker["af"].BeaconsReplayed != 0 {
-		t.Error("attack-free arm recorded attacker activity")
 	}
 }

@@ -19,7 +19,7 @@ func quickScenario() Scenario {
 
 func TestSmokeInterAreaAttackFree(t *testing.T) {
 	s := quickScenario()
-	res := RunOnce(s, 1)
+	res := RunOnce(s, 1, Observe{})
 	if res.PacketsSent < 50 {
 		t.Fatalf("PacketsSent = %d, want ~60", res.PacketsSent)
 	}
@@ -58,7 +58,7 @@ func TestSmokeInterAreaAttack(t *testing.T) {
 func TestSmokeIntraAreaAttackFree(t *testing.T) {
 	s := quickScenario()
 	s.Workload = IntraArea
-	res := RunOnce(s, 1)
+	res := RunOnce(s, 1, Observe{})
 	rate := res.Series.Overall()
 	t.Logf("attack-free intra-area reception = %.3f (%d packets)", rate, res.PacketsSent)
 	if rate < 0.95 {

@@ -11,11 +11,11 @@ import (
 // run with telemetry sampling is identical to one without.
 func TestRunOnceTelemetryInert(t *testing.T) {
 	s := tinyScenario()
-	plain := serializeResult(RunOnce(s, 7))
+	plain := serializeResult(RunOnce(s, 7, Observe{}))
 
 	reg := telemetry.NewRegistry()
 	gauges := telemetry.NewRunGauges(reg, 0)
-	observed := RunOnceObserved(s, 7, Observe{Gauges: gauges})
+	observed := RunOnce(s, 7, Observe{Gauges: gauges})
 	if got := serializeResult(observed); got != plain {
 		t.Errorf("telemetry perturbed the run:\nwith:\n%s\nwithout:\n%s", got, plain)
 	}
@@ -44,7 +44,7 @@ func TestFig7aGoldenWithTelemetry(t *testing.T) {
 		t.Skip("full scenario run")
 	}
 	reg := telemetry.NewRegistry()
-	got := serializeResult(RunOnceObserved(fig7aScenario(), 42, Observe{Gauges: telemetry.NewRunGauges(reg, 0)}))
+	got := serializeResult(RunOnce(fig7aScenario(), 42, Observe{Gauges: telemetry.NewRunGauges(reg, 0)}))
 	if got != fig7aGolden {
 		t.Errorf("Fig. 7a output diverged under telemetry sampling:\ngot:\n%s\nwant:\n%s", got, fig7aGolden)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/campaign"
+	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
@@ -311,7 +312,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // finalizes — the same Aggregator.Finalize a single-process run ends
 // with, so the artifacts are byte-identical.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
-	cell, err := campaign.ParseCellKey(req.Key)
+	cell, err := experiment.ParseCellKey(req.Key)
 	if err != nil {
 		return CompleteResponse{}, err
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/campaign"
+	"github.com/vanetsec/georoute/internal/experiment"
 	"github.com/vanetsec/georoute/internal/telemetry"
 )
 
@@ -130,7 +131,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // and the completion post uses a detached context, so a drained worker
 // still lands the work it already paid for.
 func (w *Worker) runLease(ctx context.Context, lease LeaseResponse) {
-	cell, err := campaign.ParseCellKey(lease.Key)
+	cell, err := experiment.ParseCellKey(lease.Key)
 	if err != nil {
 		// A key the coordinator handed out but we cannot parse is a
 		// protocol bug; report it as a cell failure so it surfaces in

@@ -32,7 +32,8 @@ type GPSR struct {
 	greedy geonet.NextHopPolicy
 	// ents and planar are per-router scratch buffers (policies are
 	// per-router instances), keeping the per-hop neighbor walk
-	// allocation-free.
+	// allocation-free. Their entries point into the router's LocT and
+	// are only read within the perimeterNext call that filled them.
 	ents   []*geonet.LocTEntry
 	planar []*geonet.LocTEntry
 }

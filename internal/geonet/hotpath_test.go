@@ -229,6 +229,34 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 }
 
+// TestBeaconReceiveAllocs extends TestReceivePathAllocs through the
+// router: delivering a cached beacon that the location table accepts —
+// decode, verify, and an in-place LocT update — allocates nothing.
+func TestBeaconReceiveAllocs(t *testing.T) {
+	const runs = 200
+	// AllocsPerRun makes one warm-up call (which inserts the entry)
+	// before the measured runs; every call delivers a fresher beacon.
+	rx, frames := cachedBeacons(t, runs+1)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		rx.Deliver(frames[next])
+		next++
+	})
+	if next != len(frames) {
+		t.Fatalf("delivered %d frames, want %d", next, len(frames))
+	}
+	e := rx.LocT().Lookup(2, 0)
+	if want := time.Duration(len(frames)) * time.Millisecond; e == nil || e.PV.Timestamp != want {
+		t.Fatalf("LocT entry = %+v, want the last beacon (timestamp %v) accepted", e, want)
+	}
+	if got := rx.Stats().BeaconsReceived; got != uint64(len(frames)) {
+		t.Fatalf("BeaconsReceived = %d, want %d", got, len(frames))
+	}
+	if allocs != 0 {
+		t.Fatalf("accepted beacon receive allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestMarshalPathAllocs asserts AppendMarshal into a pre-grown buffer
 // and the uncached verify's one-shot signing path stay within bounds.
 func TestMarshalPathAllocs(t *testing.T) {

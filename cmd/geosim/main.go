@@ -111,7 +111,6 @@ func main() {
 		benchWorld    = flag.Bool("bench-world", false, "run one world benchmark variant in this process and print a one-line JSON result (see scripts/benchworld.sh)")
 		benchVehicles = flag.Int("bench-vehicles", 100_000, "bench-world: approximate vehicle population")
 		benchShards   = flag.Int("bench-shards", 0, "bench-world: engine shards (0 = sequential single-engine world)")
-		benchQueue    = flag.String("bench-queue", "wheel", "bench-world: scheduler implementation, wheel or heap")
 		benchSim      = flag.Duration("bench-sim", 5*time.Second, "bench-world: simulated duration of the timed Run phase")
 		benchSeed     = flag.Uint64("bench-seed", 1, "bench-world: world seed")
 	)
@@ -122,7 +121,7 @@ func main() {
 		return
 	}
 	if *benchWorld {
-		os.Exit(runBenchWorld(*benchVehicles, *benchShards, *benchQueue, *benchSim, *benchSeed))
+		os.Exit(runBenchWorld(*benchVehicles, *benchShards, *benchSim, *benchSeed))
 	}
 	switch {
 	case *serveAddr != "":
@@ -237,7 +236,6 @@ type benchWorldResult struct {
 	Segments     int     `json:"segments"`
 	Shards       int     `json:"shards"` // 0 = sequential single-engine world
 	Gomaxprocs   int     `json:"gomaxprocs"`
-	Queue        string  `json:"queue"`
 	SimSeconds   float64 `json:"sim_seconds"`
 	BuildSeconds float64 `json:"build_seconds"`
 	RunSeconds   float64 `json:"run_seconds"`
@@ -248,28 +246,17 @@ type benchWorldResult struct {
 // runBenchWorld builds the standard bench geometry (two one-way lanes,
 // 500 vehicles per lane per segment, 100 m spacing — the same world as
 // BenchmarkWorld*) and times one Run phase.
-func runBenchWorld(vehicles, shards int, queue string, simFor time.Duration, seed uint64) int {
+func runBenchWorld(vehicles, shards int, simFor time.Duration, seed uint64) int {
 	const (
 		perLane  = 500
 		spawnGap = 100.0
 	)
-	var kind georoute.QueueKind
-	switch queue {
-	case "wheel":
-		kind = georoute.QueueWheel
-	case "heap":
-		kind = georoute.QueueHeap
-	default:
-		fmt.Fprintf(os.Stderr, "geosim: unknown -bench-queue %q (wheel or heap)\n", queue)
-		return 2
-	}
 	segments := vehicles / (2 * perLane)
 	if segments == 0 {
 		segments = 1
 	}
 	cfg := georoute.ScaleWorldConfig{
 		Seed:        seed,
-		Queue:       kind,
 		Segments:    segments,
 		SegmentRoad: georoute.RoadConfig{Length: spawnGap * (perLane - 1), LanesPerDirection: 2},
 		SpawnGap:    spawnGap,
@@ -278,7 +265,6 @@ func runBenchWorld(vehicles, shards int, queue string, simFor time.Duration, see
 		Segments:   segments,
 		Shards:     shards,
 		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Queue:      queue,
 		SimSeconds: simFor.Seconds(),
 	}
 	buildStart := time.Now()

@@ -47,7 +47,6 @@ import (
 	"github.com/vanetsec/georoute/internal/mitigation"
 	"github.com/vanetsec/georoute/internal/radio"
 	"github.com/vanetsec/georoute/internal/showcase"
-	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/trace"
 	"github.com/vanetsec/georoute/internal/traffic"
@@ -161,16 +160,6 @@ func BuildWorld(cfg WorldConfig) *World { return vanet.New(cfg) }
 
 // AddrOf maps a vehicle to its GeoNetworking address.
 func AddrOf(v *Vehicle) Address { return vanet.AddrOf(v) }
-
-// QueueKind selects the engine's scheduler implementation.
-type QueueKind = sim.QueueKind
-
-// Scheduler implementations: the hierarchical timing wheel (default) and
-// the reference binary heap kept for differential testing and benchmarks.
-const (
-	QueueWheel = sim.QueueWheel
-	QueueHeap  = sim.QueueHeap
-)
 
 // ScaleWorldConfig parameterizes BuildScaleWorld.
 type ScaleWorldConfig = vanet.ScaleConfig

@@ -24,7 +24,9 @@ func (c Cell) Key() string {
 	return fmt.Sprintf("%s/%s/%d", c.Figure, c.Arm, c.Seed)
 }
 
-// ParseCellKey inverts Key.
+// ParseCellKey inverts Key. Only canonical keys parse: a key that Key
+// would render differently (a zero-padded seed such as "fig7a/af_wN/007")
+// is rejected, so a parsed cell's Key always equals the input.
 func ParseCellKey(key string) (Cell, error) {
 	parts := strings.Split(key, "/")
 	if len(parts) != 3 {
@@ -37,7 +39,11 @@ func ParseCellKey(key string) (Cell, error) {
 	if parts[0] == "" || parts[1] == "" {
 		return Cell{}, fmt.Errorf("experiment: malformed cell key %q", key)
 	}
-	return Cell{Figure: parts[0], Arm: parts[1], Seed: seed}, nil
+	c := Cell{Figure: parts[0], Arm: parts[1], Seed: seed}
+	if c.Key() != key {
+		return Cell{}, fmt.Errorf("experiment: non-canonical cell key %q (canonical %q)", key, c.Key())
+	}
+	return c, nil
 }
 
 // Arm resolves an arm label to its scenario.

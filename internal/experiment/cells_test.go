@@ -33,6 +33,8 @@ func TestParseCellKeyRejectsMalformed(t *testing.T) {
 		"fig7a/af_mN/18446744073709551616", // uint64 max + 1
 		"/af_mN/1",
 		"fig7a//1",
+		"fig7a/af_wN/007", // non-canonical: Key renders seed 7 as "7"
+		"fig7a/af_wN/00",
 	} {
 		if _, err := ParseCellKey(bad); err == nil {
 			t.Errorf("ParseCellKey(%q) accepted", bad)

@@ -26,10 +26,10 @@ func TestRunOnceTelemetryInert(t *testing.T) {
 	if gauges.EventsTotal.Value() == 0 {
 		t.Error("sampler never pushed event counts")
 	}
-	// Wheel occupancy: a running world always has live events queued
+	// Queue occupancy: a running world always has live events queued
 	// (beacon timers, the traffic ticker) at every sample point.
 	if gauges.QueueLive.Value() == 0 {
-		t.Error("sampler never published wheel occupancy")
+		t.Error("sampler never published queue occupancy")
 	}
 	if observed.Events == 0 {
 		t.Error("RunResult.Events not populated")

@@ -371,9 +371,11 @@ func (c *Coordinator) Fail(req FailRequest) {
 	if !ok {
 		return
 	}
-	st.leases.fail(now, req.Key, req.Lease, req.Error)
-	c.gauges.RetriedTotal.Inc()
-	c.logf("fabric: campaign %s: worker %s failed %s: %s", req.Campaign, req.Worker, req.Key, req.Error)
+	// A stale lease (cell already requeued or completed) is no retry.
+	if st.leases.fail(now, req.Key, req.Lease, req.Error) {
+		c.gauges.RetriedTotal.Inc()
+		c.logf("fabric: campaign %s: worker %s failed %s: %s", req.Campaign, req.Worker, req.Key, req.Error)
+	}
 	if n := len(st.leases.failedCells()); n > 0 && st.phase == "running" {
 		c.failCampaignLocked(st, fmt.Sprintf("%d cells exhausted their retry budget", n))
 	}

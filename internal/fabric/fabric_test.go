@@ -2,11 +2,14 @@ package fabric
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -531,4 +534,69 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	}
 
 	compareArtifacts(t, filepath.Join(refParent, sp.Name), filepath.Join(distParent, sp.Name))
+}
+
+// TestStaleFailIsNotARetry reports a failure on a lease that already
+// expired and was requeued: the report is ignored, so neither the retry
+// counter gauge nor the log may count it.
+func TestStaleFailIsNotARetry(t *testing.T) {
+	sp := fig7aSpec("camp", 1)
+	var clock atomic.Int64
+	clock.Store(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	reg := telemetry.NewRegistry()
+	var mu sync.Mutex
+	var logged []string
+	coord := NewCoordinator(CoordinatorConfig{
+		ResultsDir: t.TempDir(),
+		LeaseTTL:   100 * time.Millisecond, // sweep period floors at 50ms
+		Telemetry:  reg,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		},
+		now: func() time.Time { return time.Unix(0, clock.Load()) },
+	})
+	defer coord.Close()
+	if _, err := coord.Submit(sp, false); err != nil {
+		t.Fatal(err)
+	}
+	lease := coord.Lease("w1")
+	if !lease.Granted {
+		t.Fatal("no lease granted")
+	}
+	clock.Add(int64(time.Hour)) // far past the TTL: the sweeper requeues
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, _ := coord.CampaignStatus(sp.Name)
+		if st.Requeued >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lease never expired: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	coord.Fail(FailRequest{Worker: "w1", Campaign: lease.Campaign, Key: lease.Key, Lease: lease.Lease, Error: "late failure"})
+	st, _ := coord.CampaignStatus(sp.Name)
+	if st.Retried != 0 {
+		t.Fatalf("stale failure counted as a retry: %+v", st)
+	}
+	var gauge float64 = -1
+	for _, s := range reg.Snapshot() {
+		if s.Name == "georoute_fabric_retried_total" {
+			gauge = s.Value
+		}
+	}
+	if gauge != float64(st.Retried) {
+		t.Fatalf("georoute_fabric_retried_total = %v, CampaignStatus.Retried = %d", gauge, st.Retried)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "failed "+lease.Key) {
+			t.Fatalf("stale failure logged: %q", line)
+		}
+	}
 }

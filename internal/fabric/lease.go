@@ -139,18 +139,19 @@ func (t *leaseTable) complete(key string) (accepted, duplicate bool) {
 }
 
 // fail requeues a cell after a worker-reported execution error, with
-// exponential backoff. A stale lease is ignored (the cell was already
-// requeued or completed). Over the retry budget the cell parks in
-// failed and the campaign cannot finalize.
-func (t *leaseTable) fail(now time.Time, key, lease, errMsg string) {
+// exponential backoff, and reports whether it did. A stale lease is
+// ignored (the cell was already requeued or completed). Over the retry
+// budget the cell parks in failed and the campaign cannot finalize.
+func (t *leaseTable) fail(now time.Time, key, lease, errMsg string) bool {
 	c, ok := t.byKey[key]
 	if !ok || c.phase != cellLeased || c.lease != lease {
-		return
+		return false
 	}
 	c.lastErr = errMsg
 	t.leased--
 	t.retried++
 	t.requeueLocked(c, now)
+	return true
 }
 
 // expire requeues every lease whose deadline passed — the crash/partition

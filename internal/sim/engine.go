@@ -6,13 +6,9 @@
 // giving nanosecond resolution — far finer than the millisecond-scale CBF
 // contention timers the GeoNetworking experiments depend on.
 //
-// Two interchangeable queue implementations back the scheduler: a
-// hierarchical timing wheel (the default — O(1) schedule and pop for the
-// short-horizon events that dominate VANET workloads: CBF contention
-// timers, beacon jitter, radio propagation latency) and the original
-// binary heap, kept behind NewEngineWithQueue for differential testing.
-// Both order events by (time, sequence), so their event streams are
-// bit-identical.
+// A binary min-heap ordered by (time, sequence) backs the scheduler.
+// Cancellation is lazy: a canceled event stays queued until its deadline
+// surfaces and the pop path reclaims it.
 package sim
 
 import (
@@ -32,15 +28,6 @@ const (
 	stateCanceled               // canceled before firing
 )
 
-// Where the event is physically queued, for Cancel to find it.
-const (
-	whereNone     uint8 = iota // not in any container
-	whereSlot                  // intrusive wheel-slot list (O(1) unlink)
-	whereReady                 // wheel drain buffer, sorted (lazy cancel)
-	whereOverflow              // wheel overflow heap (lazy cancel)
-	whereHeap                  // binary-heap queue (lazy cancel)
-)
-
 // Event is a scheduled callback. It is returned by the scheduling methods
 // so callers can cancel it (e.g. a CBF contention timer stopped by a
 // duplicate packet). Handles are single-use: after the event fires or is
@@ -52,16 +39,8 @@ type Event struct {
 	name string
 	fn   func()
 
-	// Intrusive links for the wheel-slot doubly-linked lists. slot points
-	// at the containing slot so Cancel can unlink in O(1).
-	prev, next *Event
-	slot       *wheelSlot
-
 	eng   *Engine
 	state uint8
-	where uint8
-	// pooled events were created by ScheduleTransient: no handle exists.
-	pooled bool
 }
 
 // Canceled reports whether Cancel was called on the event.
@@ -74,42 +53,17 @@ func (e *Event) At() time.Duration { return e.at }
 func (e *Event) Name() string { return e.name }
 
 // Cancel prevents a pending event from running. Canceling an event that
-// already ran or was already canceled is a no-op. Events sitting in a
-// wheel slot are unlinked immediately (O(1)); events in the overflow or
-// heap queues are marked and reclaimed when they surface.
+// already ran or was already canceled is a no-op. The event stays in the
+// heap, marked, until its deadline surfaces and the pop path reclaims it.
 func (e *Event) Cancel() {
 	if e.state != stateScheduled {
 		return
 	}
 	e.state = stateCanceled
-	eng := e.eng
-	eng.live--
-	switch e.where {
-	case whereSlot:
-		e.slot.unlink(e)
-		e.where = whereNone
-		e.slot = nil
-		e.fn = nil
-		eng.wheel.count--
-		// Canceled handles are left to the GC rather than pooled: a stale
-		// double-Cancel on a recycled object would kill an innocent event.
-	case whereReady, whereOverflow, whereHeap:
-		// Lazy: the pop path reclaims it (and its pool slot) on surfacing.
-		e.fn = nil
-		eng.canceledPending++
-	}
+	e.fn = nil
+	e.eng.live--
+	e.eng.canceledPending++
 }
-
-// QueueKind selects the scheduler implementation backing an Engine.
-type QueueKind int
-
-const (
-	// QueueWheel is the hierarchical timing wheel (default).
-	QueueWheel QueueKind = iota
-	// QueueHeap is the original binary heap, kept for differential testing
-	// and as a fallback.
-	QueueHeap
-)
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // not usable; construct with NewEngine.
@@ -122,7 +76,7 @@ type Engine struct {
 	executed uint64
 	// live counts scheduled events that are neither fired nor canceled;
 	// canceledPending counts canceled events still physically queued
-	// (lazy cancellation in the overflow/heap paths).
+	// (lazy cancellation).
 	live            int
 	canceledPending int
 	// free recycles Event objects for Schedule and ScheduleTransient.
@@ -134,36 +88,18 @@ type Engine struct {
 	probeLeft  uint64
 	probeFn    func()
 
-	// Exactly one of wheel/heap is active, per the QueueKind.
-	wheel *wheel
-	heap  *eventHeap
+	// queue holds every scheduled event, canceled ones included until
+	// their deadline surfaces.
+	queue eventHeap
 }
 
 // NewEngine constructs an engine with a deterministic RNG derived from
-// seed, backed by the timing-wheel scheduler. Engines are not safe for
-// concurrent use; run one engine per goroutine and aggregate results
-// afterwards.
+// seed. Engines are not safe for concurrent use; run one engine per
+// goroutine and aggregate results afterwards.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineWithQueue(seed, QueueWheel)
-}
-
-// NewEngineWithQueue constructs an engine with an explicit scheduler
-// implementation. Both kinds execute identical event sequences (the
-// differential property test enforces it); the heap exists so regressions
-// in the wheel are detectable against a trivially-correct baseline.
-func NewEngineWithQueue(seed uint64, kind QueueKind) *Engine {
-	e := &Engine{
+	return &Engine{
 		rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
-	switch kind {
-	case QueueWheel:
-		e.wheel = newWheel()
-	case QueueHeap:
-		e.heap = &eventHeap{}
-	default:
-		panic(fmt.Sprintf("sim: unknown queue kind %d", kind))
-	}
-	return e
 }
 
 // Now reports the current simulated time.
@@ -178,10 +114,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending reports how many events are physically queued, including
-// lazily-canceled events that have not yet been reclaimed. The wheel
-// unlinks canceled slot events immediately, so there Pending tracks
-// PendingLive closely; the heap carries every canceled event until its
-// deadline surfaces.
+// lazily-canceled events that have not yet been reclaimed: the heap
+// carries every canceled event until its deadline surfaces.
 func (e *Engine) Pending() int { return e.live + e.canceledPending }
 
 // PendingLive reports how many scheduled events will actually fire —
@@ -197,22 +131,14 @@ type QueueStats struct {
 	Live int
 	// CanceledPending counts canceled events still physically queued.
 	CanceledPending int
-	// Overflow is the number of far-future events beyond the wheel
-	// horizon (always 0 for the heap engine).
-	Overflow int
-	// MaxSlotDepth is the deepest wheel slot (0 for the heap engine).
+	// MaxSlotDepth always reads 0: the heap has no slots. The field stays
+	// because the benchmark harness (perfbench) still reads it.
 	MaxSlotDepth int
 }
 
-// QueueStats snapshots scheduler occupancy. The wheel walk is O(slots);
-// callers sample it from probes, not per event.
+// QueueStats snapshots scheduler occupancy.
 func (e *Engine) QueueStats() QueueStats {
-	s := QueueStats{Live: e.live, CanceledPending: e.canceledPending}
-	if e.wheel != nil {
-		s.Overflow = len(e.wheel.overflow.items)
-		s.MaxSlotDepth = e.wheel.maxSlotDepth()
-	}
-	return s
+	return QueueStats{Live: e.live, CanceledPending: e.canceledPending}
 }
 
 // SetProbe installs an observation hook invoked from the Run loop after
@@ -233,36 +159,6 @@ func (e *Engine) SetProbe(every uint64, fn func()) {
 	e.probeFn = fn
 }
 
-// alloc grabs a pooled Event object or allocates a fresh one.
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free = e.free[:n-1]
-		*ev = Event{}
-		return ev
-	}
-	return &Event{}
-}
-
-// enqueue stamps and queues an event. The caller validated `at`.
-func (e *Engine) enqueue(ev *Event, at time.Duration, name string, fn func(), pooled bool) {
-	ev.at = at
-	ev.seq = e.seq
-	ev.name = name
-	ev.fn = fn
-	ev.pooled = pooled
-	ev.eng = e
-	ev.state = stateScheduled
-	e.seq++
-	e.live++
-	if e.wheel != nil {
-		e.wheel.push(ev, e.now)
-	} else {
-		ev.where = whereHeap
-		e.heap.push(ev)
-	}
-}
-
 // Schedule runs fn after delay. A negative delay is an error in the caller;
 // it panics to surface scheduling bugs immediately.
 func (e *Engine) Schedule(delay time.Duration, name string, fn func()) *Event {
@@ -278,8 +174,17 @@ func (e *Engine) ScheduleAt(t time.Duration, name string, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
 	}
-	ev := e.alloc()
-	e.enqueue(ev, t, name, fn, false)
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{}
+	}
+	*ev = Event{at: t, seq: e.seq, name: name, fn: fn, eng: e, state: stateScheduled}
+	e.seq++
+	e.live++
+	e.queue.push(ev)
 	return ev
 }
 
@@ -289,15 +194,13 @@ func (e *Engine) ScheduleAt(t time.Duration, name string, fn func()) *Event {
 // Both Schedule and ScheduleTransient recycle event objects through the
 // engine's free pool, so neither allocates in steady state.
 func (e *Engine) ScheduleTransient(delay time.Duration, name string, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, name))
-	}
-	ev := e.alloc()
-	e.enqueue(ev, e.now+delay, name, fn, true)
+	e.Schedule(delay, name, fn)
 }
 
-// Every schedules fn at t0, t0+period, t0+2·period, ... until the engine
-// stops or the returned ticker is canceled.
+// Every schedules fn at now+t0, now+t0+period, now+t0+2·period, ... until
+// the engine stops or the returned ticker is stopped. t0 is a delay from
+// the current simulated time, not an absolute instant, so a ticker
+// started mid-run first fires t0 later.
 func (e *Engine) Every(t0, period time.Duration, name string, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v for ticker %q", period, name))
@@ -343,33 +246,17 @@ func (t *Ticker) Stop() {
 
 // popNext removes and returns the earliest live event with at <= until,
 // or nil if none. Lazily-canceled events surfacing on the way are
-// reclaimed here (their pool slot included), which is what keeps a
-// long-lived storm of canceled CBF timers from bloating the queue.
+// dropped here, which is what keeps a long-lived storm of canceled CBF
+// timers from bloating the queue.
 func (e *Engine) popNext(until time.Duration) *Event {
-	if e.wheel != nil {
-		return e.wheel.pop(until, e)
-	}
 	for {
-		ev := e.heap.popIfDue(until)
-		if ev == nil {
-			return nil
+		ev := e.queue.popIfDue(until)
+		if ev == nil || ev.state != stateCanceled {
+			return ev
 		}
-		if ev.state == stateCanceled {
-			e.reclaimCanceled(ev)
-			continue
-		}
-		return ev
-	}
-}
-
-// reclaimCanceled retires a lazily-canceled event surfacing from a queue.
-func (e *Engine) reclaimCanceled(ev *Event) {
-	e.canceledPending--
-	ev.where = whereNone
-	ev.fn = nil
-	if ev.pooled {
-		// No handle exists, so the object is safe to recycle immediately.
-		e.free = append(e.free, ev)
+		e.canceledPending--
+		// Canceled handles are left to the GC rather than pooled: a stale
+		// double-Cancel on a recycled object would kill an innocent event.
 	}
 }
 
@@ -387,8 +274,6 @@ func (e *Engine) Run(until time.Duration) uint64 {
 		fn := ev.fn
 		ev.fn = nil
 		ev.state = stateFired
-		ev.where = whereNone
-		ev.slot = nil
 		e.live--
 		fn()
 		e.executed++

@@ -8,7 +8,7 @@ import (
 
 // benchDelays is a fixed pseudorandom delay mix biased to the event
 // horizon of a real run: mostly sub-5ms (radio latency, CBF contention),
-// some beacon-period scale, a trickle of level-1 territory.
+// some beacon-period scale, a trickle of up to 2 s.
 var benchDelays = func() [1024]time.Duration {
 	var ds [1024]time.Duration
 	state := uint64(0x9E3779B97F4A7C15)
@@ -17,7 +17,7 @@ var benchDelays = func() [1024]time.Duration {
 		r := state >> 33
 		switch {
 		case i%16 == 0:
-			ds[i] = time.Duration(r%uint64(2*time.Second)) // level 1
+			ds[i] = time.Duration(r % uint64(2*time.Second))
 		case i%4 == 0:
 			ds[i] = time.Duration(r % uint64(150*time.Millisecond))
 		default:
@@ -28,35 +28,28 @@ var benchDelays = func() [1024]time.Duration {
 }()
 
 // BenchmarkEngineSchedule measures the steady-state schedule→fire cycle of
-// handle-returning events on both queue implementations, across pending-
-// queue sizes matching the 1k/10k/100k world populations (one beacon timer
-// per router stays queued at all times). Each fired event schedules its
-// successor, so the queue holds `inflight` events throughout and every op
-// is one push plus one pop. Allocations must be zero: fired handles
-// recycle through the engine pool. The heap's per-op cost grows with
-// log(inflight) and its cache misses; the wheel's stays flat.
+// handle-returning events across pending-queue sizes matching the
+// 1k/10k/100k world populations (one beacon timer per router stays queued
+// at all times). Each fired event schedules its successor, so the queue
+// holds `inflight` events throughout and every op is one push plus one
+// pop. Allocations must be zero: fired handles recycle through the engine
+// pool. The per-op cost grows with log(inflight) and its cache misses.
 func BenchmarkEngineSchedule(b *testing.B) {
 	for _, inflight := range []int{1_000, 10_000, 100_000} {
-		for name, kind := range queueKinds {
-			b.Run(fmt.Sprintf("%s/pending=%d", name, inflight), func(b *testing.B) {
-				benchCycle(b, kind, false, inflight)
-			})
-		}
+		b.Run(fmt.Sprintf("pending=%d", inflight), func(b *testing.B) {
+			benchCycle(b, false, inflight)
+		})
 	}
 }
 
 // BenchmarkEngineScheduleTransient is the same cycle through the
 // handle-free ScheduleTransient path.
 func BenchmarkEngineScheduleTransient(b *testing.B) {
-	for name, kind := range queueKinds {
-		b.Run(name, func(b *testing.B) {
-			benchCycle(b, kind, true, 10_000)
-		})
-	}
+	benchCycle(b, true, 10_000)
 }
 
-func benchCycle(b *testing.B, kind QueueKind, transient bool, inflight int) {
-	e := NewEngineWithQueue(1, kind)
+func benchCycle(b *testing.B, transient bool, inflight int) {
+	e := NewEngine(1)
 	left := b.N
 	i := 0
 	var fn func()
@@ -90,26 +83,21 @@ func benchCycle(b *testing.B, kind QueueKind, transient bool, inflight int) {
 }
 
 // BenchmarkEngineCancel measures the cancel-heavy pattern CBF contention
-// produces: schedule a timer, cancel it before it fires, repeat. On the
-// wheel this is an O(1) unlink; on the heap a lazy mark that is reclaimed
-// at the deadline.
+// produces: schedule a timer, cancel it before it fires, repeat. Cancel is
+// a lazy mark; the pop path reclaims the event at its deadline.
 func BenchmarkEngineCancel(b *testing.B) {
-	for name, kind := range queueKinds {
-		b.Run(name, func(b *testing.B) {
-			e := NewEngineWithQueue(1, kind)
-			tick := e.Every(time.Millisecond, time.Millisecond, "drain", func() {})
-			defer tick.Stop()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := e.Schedule(benchDelays[i&1023], "victim", func() {})
-				ev.Cancel()
-				if i%1024 == 1023 {
-					// Let the engine advance so heap-mode lazy reclamation
-					// actually runs and the queue cannot grow unboundedly.
-					e.Run(e.Now() + 10*time.Millisecond)
-				}
-			}
-		})
+	e := NewEngine(1)
+	tick := e.Every(time.Millisecond, time.Millisecond, "drain", func() {})
+	defer tick.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := e.Schedule(benchDelays[i&1023], "victim", func() {})
+		ev.Cancel()
+		if i%1024 == 1023 {
+			// Let the engine advance so lazy reclamation actually runs
+			// and the queue cannot grow unboundedly.
+			e.Run(e.Now() + 10*time.Millisecond)
+		}
 	}
 }

@@ -398,3 +398,125 @@ func TestSetProbeDoesNotPerturbExecution(t *testing.T) {
 		t.Fatal("probe changed the event sequence or RNG stream")
 	}
 }
+
+func TestFarFutureOrdering(t *testing.T) {
+	// Events weeks ahead must fire in exact (time, seq) order after a
+	// nearer one, whatever order they were scheduled in.
+	e := NewEngine(1)
+	var order []string
+	far := 40 * 24 * time.Hour
+	e.Schedule(far+time.Millisecond, "f2", func() { order = append(order, "f2") })
+	e.Schedule(far, "f1", func() { order = append(order, "f1") })
+	e.Schedule(far, "f1b", func() { order = append(order, "f1b") })
+	e.Schedule(time.Second, "near", func() { order = append(order, "near") })
+	e.Run(41 * 24 * time.Hour)
+	if len(order) != 4 || order[0] != "near" || order[1] != "f1" || order[2] != "f1b" || order[3] != "f2" {
+		t.Fatalf("order = %v, want [near f1 f1b f2]", order)
+	}
+	if qs := e.QueueStats(); qs.Live != 0 || qs.CanceledPending != 0 {
+		t.Fatalf("stats not drained: %+v", qs)
+	}
+}
+
+func TestQuietGapClockJump(t *testing.T) {
+	// Across long quiet gaps the clock jumps straight to the next event;
+	// scheduling from there must still place and fire events exactly.
+	e := NewEngine(1)
+	var fires []time.Duration
+	var chain func(round int)
+	chain = func(round int) {
+		if round == 5 {
+			return
+		}
+		// ~37 minutes of silence per round.
+		e.ScheduleTransient(37*time.Minute+time.Duration(round)*time.Microsecond, "hop", func() {
+			fires = append(fires, e.Now())
+			chain(round + 1)
+		})
+	}
+	chain(0)
+	e.Run(6 * time.Hour)
+	if len(fires) != 5 {
+		t.Fatalf("fired %d hops, want 5", len(fires))
+	}
+	want := time.Duration(0)
+	for i, got := range fires {
+		want += 37*time.Minute + time.Duration(i)*time.Microsecond
+		if got != want {
+			t.Fatalf("hop %d fired at %v, want %v", i, got, want)
+		}
+	}
+	if e.Now() != 6*time.Hour {
+		t.Fatalf("Now = %v after draining, want the Run horizon 6h", e.Now())
+	}
+}
+
+func TestCancelUnlinksWheelSlot(t *testing.T) {
+	// Canceling one of three same-instant siblings: cancellation is lazy,
+	// so the victim stays physically queued but logically dead until its
+	// deadline surfaces, where it is dropped without firing.
+	e := NewEngine(1)
+	fired := 0
+	e.Schedule(time.Millisecond, "keep1", func() { fired++ })
+	mid := e.Schedule(time.Millisecond, "victim", func() { t.Error("canceled event fired") })
+	e.Schedule(time.Millisecond, "keep2", func() { fired++ })
+	mid.Cancel()
+	if e.Pending() != 3 || e.PendingLive() != 2 {
+		t.Fatalf("Pending=%d PendingLive=%d after sibling cancel, want 3/2", e.Pending(), e.PendingLive())
+	}
+	mid.Cancel() // idempotent
+	if !mid.Canceled() {
+		t.Fatal("Canceled() = false")
+	}
+	if qs := e.QueueStats(); qs.Live != 2 || qs.CanceledPending != 1 {
+		t.Fatalf("QueueStats = %+v, want Live 2, CanceledPending 1", qs)
+	}
+	e.Run(time.Second)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+	if e.Pending() != 0 || e.PendingLive() != 0 || e.Executed() != 2 {
+		t.Fatalf("sibling not reclaimed: Pending=%d PendingLive=%d Executed=%d", e.Pending(), e.PendingLive(), e.Executed())
+	}
+}
+
+func TestCancelOverflowLazyReclaim(t *testing.T) {
+	// A canceled far-future event stays queued until its own deadline
+	// passes, then is reclaimed without firing.
+	e := NewEngine(1)
+	fired := 0
+	e.Schedule(time.Millisecond, "near", func() { fired++ })
+	far := 40 * 24 * time.Hour
+	ev := e.Schedule(far, "far", func() { t.Error("canceled far event fired") })
+	ev.Cancel()
+	if e.Pending() != 2 || e.PendingLive() != 1 {
+		t.Fatalf("Pending=%d PendingLive=%d, want 2/1", e.Pending(), e.PendingLive())
+	}
+	if qs := e.QueueStats(); qs.Live != 1 || qs.CanceledPending != 1 {
+		t.Fatalf("QueueStats = %+v, want Live 1, CanceledPending 1", qs)
+	}
+	e.Run(time.Second)
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1", fired)
+	}
+	if e.Pending() != 1 || e.PendingLive() != 0 {
+		t.Fatalf("Pending=%d PendingLive=%d after 1s, want 1/0", e.Pending(), e.PendingLive())
+	}
+	e.Run(far + time.Hour)
+	if e.Pending() != 0 || e.Executed() != 1 {
+		t.Fatalf("canceled far event not reclaimed: Pending=%d Executed=%d", e.Pending(), e.Executed())
+	}
+}
+
+func TestQueueStatsMaxSlotDepth(t *testing.T) {
+	// The heap has no slots: MaxSlotDepth reads 0 however many events
+	// share one instant.
+	e := NewEngine(1)
+	for i := 0; i < 7; i++ {
+		e.Schedule(time.Microsecond, "burst", func() {})
+	}
+	e.Schedule(50*time.Millisecond, "lone", func() {})
+	if qs := e.QueueStats(); qs.MaxSlotDepth != 0 || qs.Live != 8 {
+		t.Fatalf("QueueStats = %+v, want MaxSlotDepth 0, Live 8", qs)
+	}
+}

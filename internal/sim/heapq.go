@@ -2,13 +2,10 @@ package sim
 
 import "time"
 
-// eventHeap is a binary min-heap ordered by (time, sequence). It backs
-// QueueHeap engines — the differential-testing baseline — and the wheel's
-// overflow spill for events beyond the top-level horizon. Hand-rolled
-// rather than container/heap: the old adapter maintained a per-event heap
-// index purely to support a heap.Remove path nothing ever called;
-// cancellation is lazy here (canceled events surface at their deadline
-// and are reclaimed by the pop path), so no index is needed at all.
+// eventHeap is the engine's event queue: a binary min-heap ordered by
+// (time, sequence). Hand-rolled rather than container/heap: cancellation
+// is lazy (canceled events surface at their deadline and are reclaimed by
+// the pop path), so no per-event heap index or Remove is needed.
 type eventHeap struct {
 	items []*Event
 }

@@ -17,11 +17,9 @@ type RunGauges struct {
 	EventsPerSec *Gauge // events executed per wall-second, since last sample
 	SimWallRatio *Gauge // simulated seconds per wall second, since last sample
 
-	// Scheduler occupancy (timing wheel / heap internals).
-	QueueLive         *Gauge // events that will actually fire
-	QueueCanceled     *Gauge // canceled events awaiting lazy reclamation
-	QueueOverflow     *Gauge // events spilled beyond the wheel horizon
-	QueueMaxSlotDepth *Gauge // deepest wheel slot (granularity fit)
+	// Scheduler occupancy (lazy-cancel accounting).
+	QueueLive     *Gauge // events that will actually fire
+	QueueCanceled *Gauge // canceled events awaiting lazy reclamation
 
 	// Radio medium.
 	RadioInFlight *Gauge // transmissions scheduled but not yet delivered
@@ -78,10 +76,8 @@ func newRunGauges(r *Registry, labels ...Label) *RunGauges {
 		EventsPerSec: r.Gauge("georoute_engine_events_per_second", "Events executed per wall-clock second.", w...),
 		SimWallRatio: r.Gauge("georoute_engine_sim_wall_ratio", "Simulated seconds advanced per wall-clock second.", w...),
 
-		QueueLive:         r.Gauge("georoute_engine_queue_live", "Queued events that will actually fire.", w...),
-		QueueCanceled:     r.Gauge("georoute_engine_queue_canceled", "Canceled events awaiting lazy reclamation.", w...),
-		QueueOverflow:     r.Gauge("georoute_engine_queue_overflow", "Events beyond the timing-wheel horizon.", w...),
-		QueueMaxSlotDepth: r.Gauge("georoute_engine_queue_max_slot_depth", "Deepest timing-wheel slot at sample time.", w...),
+		QueueLive:     r.Gauge("georoute_engine_queue_live", "Queued events that will actually fire.", w...),
+		QueueCanceled: r.Gauge("georoute_engine_queue_canceled", "Canceled events awaiting lazy reclamation.", w...),
 
 		RadioInFlight: r.Gauge("georoute_radio_inflight", "Transmissions scheduled but not yet delivered.", w...),
 		ChannelBusy:   r.Gauge("georoute_radio_channel_busy_ratio", "Channel airtime per simulated second.", w...),

@@ -2,7 +2,6 @@ package vanet
 
 import (
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/telemetry"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
@@ -20,10 +19,6 @@ const SegmentIDStride = 1 << 22
 // CBF contention) stays at the paper's highway density.
 type ScaleConfig struct {
 	Seed uint64
-
-	// Queue selects the scheduler implementation (wheel by default;
-	// QueueHeap for the benchmarking baseline).
-	Queue sim.QueueKind
 
 	Tech       radio.Technology
 	RangeClass radio.RangeClass
@@ -99,7 +94,6 @@ func newScaleShard(cfg ScaleConfig, segs []int, engineSeed uint64, batchedSync b
 	w := New(Config{
 		Seed:          cfg.Seed,
 		EngineSeed:    engineSeed,
-		Queue:         cfg.Queue,
 		Tech:          cfg.Tech,
 		RangeClass:    cfg.RangeClass,
 		Road:          cfg.segmentRoad(g0),

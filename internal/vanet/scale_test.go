@@ -5,14 +5,12 @@ import (
 	"time"
 
 	"github.com/vanetsec/georoute/internal/radio"
-	"github.com/vanetsec/georoute/internal/sim"
 	"github.com/vanetsec/georoute/internal/traffic"
 )
 
-func tinyScale(queue sim.QueueKind) *World {
+func tinyScale() *World {
 	return NewScaleWorld(ScaleConfig{
 		Seed:        7,
-		Queue:       queue,
 		Segments:    3,
 		SegmentRoad: traffic.RoadConfig{Length: 1000, LanesPerDirection: 1},
 		SpawnGap:    100,
@@ -20,7 +18,7 @@ func tinyScale(queue sim.QueueKind) *World {
 }
 
 func TestScaleWorldAssembly(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	if len(w.Segments()) != 3 {
 		t.Fatalf("segments = %d, want 3", len(w.Segments()))
 	}
@@ -51,7 +49,7 @@ func TestScaleWorldAssembly(t *testing.T) {
 }
 
 func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	w.Run(5 * time.Second)
 	// A router in segment 0 must only ever hear segment-0 neighbors: the
 	// 2000 m inter-segment gap is far beyond any configured radio range.
@@ -71,32 +69,8 @@ func TestScaleWorldSegmentsAreRFIsolated(t *testing.T) {
 	}
 }
 
-// TestScaleWorldHeapWheelEquivalent is the end-to-end arm of the
-// differential test: the same multi-segment scenario must produce
-// identical protocol counters under both scheduler implementations.
-func TestScaleWorldHeapWheelEquivalent(t *testing.T) {
-	run := func(q sim.QueueKind) (geonet geonetStatsSummary, pendLive int) {
-		w := tinyScale(q)
-		w.Run(8 * time.Second)
-		s := w.ProtocolStats()
-		return geonetStatsSummary{s.BeaconsSent, s.BeaconsReceived, s.Delivered, s.GFForwarded + s.CBFForwarded}, w.Engine.PendingLive()
-	}
-	wheelStats, wheelPend := run(sim.QueueWheel)
-	heapStats, heapPend := run(sim.QueueHeap)
-	if wheelStats != heapStats {
-		t.Fatalf("wheel %+v != heap %+v", wheelStats, heapStats)
-	}
-	if wheelPend != heapPend {
-		t.Fatalf("PendingLive: wheel %d != heap %d", wheelPend, heapPend)
-	}
-}
-
-type geonetStatsSummary struct {
-	beaconsSent, beaconsReceived, delivered, forwarded uint64
-}
-
 func TestScaleWorldBulkChurn(t *testing.T) {
-	w := tinyScale(sim.QueueWheel)
+	w := tinyScale()
 	w.Run(2 * time.Second)
 	before := w.VehicleCount()
 

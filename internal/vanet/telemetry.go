@@ -52,8 +52,6 @@ func (s *sampler) sample() {
 	qs := w.Engine.QueueStats()
 	g.QueueLive.Set(float64(qs.Live))
 	g.QueueCanceled.Set(float64(qs.CanceledPending))
-	g.QueueOverflow.Set(float64(qs.Overflow))
-	g.QueueMaxSlotDepth.Set(float64(qs.MaxSlotDepth))
 	g.SimSeconds.Set(simNow.Seconds())
 	if wallDelta := now.Sub(s.lastWall).Seconds(); wallDelta > 0 {
 		g.EventsPerSec.Set(float64(executed-s.lastExecuted) / wallDelta)

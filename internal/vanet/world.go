@@ -44,11 +44,6 @@ type Config struct {
 	// the sequential world.
 	EngineSeed uint64
 
-	// Queue selects the engine's scheduler implementation. The zero value
-	// is the timing wheel; QueueHeap is the differential-testing and
-	// benchmarking baseline.
-	Queue sim.QueueKind
-
 	// FirstID strides the primary traffic network's vehicle-ID space
 	// (see traffic.NetworkConfig.FirstID). Shard worlds whose first
 	// segment is global segment g pass g*SegmentIDStride so addresses
@@ -150,7 +145,7 @@ func New(cfg Config) *World {
 	if engineSeed == 0 {
 		engineSeed = cfg.Seed
 	}
-	engine := sim.NewEngineWithQueue(engineSeed, cfg.Queue)
+	engine := sim.NewEngine(engineSeed)
 	w := &World{
 		Engine:   engine,
 		Medium:   radio.NewMedium(engine, radio.Config{Latency: cfg.Latency, Obstructions: cfg.Obstructions, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Tracer: cfg.Tracer}),

@@ -13,7 +13,7 @@
 #   scripts/benchworld.sh [vehicles] [sim_seconds] [out.json]
 #
 # Defaults: 100000 vehicles, 5 s simulated, stdout only. Variants:
-#   - sequential wheel baseline (GOMAXPROCS=host)
+#   - sequential baseline (GOMAXPROCS=host)
 #   - sharded shards=8 at GOMAXPROCS 1, 2, 4, 8  (the scaling curve)
 #
 # events_per_sec covers the Run phase only; world assembly is excluded.

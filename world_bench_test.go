@@ -1,7 +1,6 @@
 // Engine-scale end-to-end benchmarks: full protocol worlds (IDM traffic,
-// beaconing routers, radio fan-out) at 1k/10k/100k vehicles, run on both
-// scheduler implementations. These back BENCH_engine.json — the headline
-// comparison for the timing-wheel engine. Run with:
+// beaconing routers, radio fan-out) at 1k/10k/100k vehicles, sequential
+// and sharded. Run with:
 //
 //	go test -bench 'BenchmarkWorld' -benchtime 1x -benchmem -timeout 60m .
 package georoute_test
@@ -17,7 +16,7 @@ import (
 // lane, two one-way lanes per segment, 100 m spacing) and runs 5 simulated
 // seconds of full protocol activity. Per-iteration events/s covers the Run
 // phase only; world assembly is excluded from the timer.
-func benchScaleWorld(b *testing.B, total int, kind georoute.QueueKind) {
+func benchScaleWorld(b *testing.B, total int) {
 	const (
 		perLane  = 500
 		spawnGap = 100.0
@@ -36,7 +35,6 @@ func benchScaleWorld(b *testing.B, total int, kind georoute.QueueKind) {
 		b.StopTimer()
 		w := georoute.BuildScaleWorld(georoute.ScaleWorldConfig{
 			Seed:        uint64(i + 1),
-			Queue:       kind,
 			Segments:    segments,
 			SegmentRoad: georoute.RoadConfig{Length: segLen, LanesPerDirection: 2},
 			SpawnGap:    spawnGap,
@@ -97,29 +95,20 @@ func benchShardedWorld(b *testing.B, total, shards int) {
 	b.ReportMetric(float64(shards), "shards")
 }
 
-func BenchmarkWorld1k(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchScaleWorld(b, 1_000, georoute.QueueWheel) })
-	b.Run("heap", func(b *testing.B) { benchScaleWorld(b, 1_000, georoute.QueueHeap) })
-}
+func BenchmarkWorld1k(b *testing.B) { benchScaleWorld(b, 1_000) }
 
-func BenchmarkWorld10k(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchScaleWorld(b, 10_000, georoute.QueueWheel) })
-	b.Run("heap", func(b *testing.B) { benchScaleWorld(b, 10_000, georoute.QueueHeap) })
-}
+func BenchmarkWorld10k(b *testing.B) { benchScaleWorld(b, 10_000) }
 
-func BenchmarkWorld100k(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchScaleWorld(b, 100_000, georoute.QueueWheel) })
-	b.Run("heap", func(b *testing.B) { benchScaleWorld(b, 100_000, georoute.QueueHeap) })
-}
+func BenchmarkWorld100k(b *testing.B) { benchScaleWorld(b, 100_000) }
 
 // BenchmarkWorldSharded4k is the CI smoke variant: small enough to run on
 // a shared runner at GOMAXPROCS=1 and =4 (see .github/workflows/ci.yml).
 func BenchmarkWorldSharded4k(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchScaleWorld(b, 4_000, georoute.QueueWheel) })
+	b.Run("serial", func(b *testing.B) { benchScaleWorld(b, 4_000) })
 	b.Run("shards4", func(b *testing.B) { benchShardedWorld(b, 4_000, 4) })
 }
 
 func BenchmarkWorldSharded100k(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchScaleWorld(b, 100_000, georoute.QueueWheel) })
+	b.Run("serial", func(b *testing.B) { benchScaleWorld(b, 100_000) })
 	b.Run("shards8", func(b *testing.B) { benchShardedWorld(b, 100_000, 8) })
 }

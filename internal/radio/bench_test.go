@@ -26,14 +26,21 @@ const (
 )
 
 // benchMedium lays out n nodes along the road axis and returns the
-// middle node as the transmitter.
-func benchMedium(b *testing.B, n int, promiscuousEvery int) (*sim.Engine, *Medium, *Antenna) {
+// middle node as the transmitter. With traffic set the attach order runs
+// against the X order, as the spawner leaves a lane: vehicles attached
+// earlier have driven further along +X. Otherwise nodes attach in
+// ascending X.
+func benchMedium(b testing.TB, n int, promiscuousEvery int, traffic bool) (*sim.Engine, *Medium, *Antenna) {
 	b.Helper()
 	e := sim.NewEngine(1)
 	m := NewMedium(e, Config{})
 	var tx *Antenna
 	for i := 0; i < n; i++ {
-		p := geo.Pt(float64(i)*benchSpacing, 0)
+		x := float64(i) * benchSpacing
+		if traffic {
+			x = float64(n-1-i) * benchSpacing
+		}
+		p := geo.Pt(x, 0)
 		promisc := promiscuousEvery > 0 && i%promiscuousEvery == 0
 		a := m.Attach(NodeID(i+1), benchRange, func() geo.Point { return p }, nopReceiver{}, promisc)
 		if i == n/2 {
@@ -57,18 +64,45 @@ func drive(b *testing.B, e *sim.Engine, m *Medium, tx *Antenna, to NodeID) {
 }
 
 func BenchmarkMediumBroadcast(b *testing.B) {
-	for _, n := range []int{100, 500, 2000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e, m, tx := benchMedium(b, n, 0)
-			drive(b, e, m, tx, BroadcastID)
+	for _, order := range []struct {
+		name    string
+		traffic bool
+	}{{"ascending", false}, {"traffic", true}} {
+		b.Run("order="+order.name, func(b *testing.B) {
+			for _, n := range []int{100, 500, 2000} {
+				b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+					e, m, tx := benchMedium(b, n, 0, order.traffic)
+					drive(b, e, m, tx, BroadcastID)
+				})
+			}
 		})
+	}
+}
+
+// TestSendSteadyStateAllocs pins the broadcast path at one allocation
+// per frame (the delivery event's closure) in both attach orders: the
+// delivery slices and the run-merge buffer stay pooled.
+func TestSendSteadyStateAllocs(t *testing.T) {
+	for _, traffic := range []bool{false, true} {
+		e, m, tx := benchMedium(t, 500, 0, traffic)
+		payload := []byte("frame")
+		send := func() {
+			m.Send(tx, BroadcastID, payload)
+			e.Run(e.Now() + 2*DefaultLatency)
+		}
+		for i := 0; i < 10; i++ {
+			send() // grow the pooled buffers
+		}
+		if got := testing.AllocsPerRun(200, send); got > 1 {
+			t.Errorf("traffic order %v: %v allocs per frame, want at most 1", traffic, got)
+		}
 	}
 }
 
 func BenchmarkMediumUnicast(b *testing.B) {
 	for _, n := range []int{100, 500, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e, m, tx := benchMedium(b, n, 0)
+			e, m, tx := benchMedium(b, n, 0, false)
 			// The next node up the road, always in range.
 			drive(b, e, m, tx, tx.ID()+1)
 		})
@@ -80,7 +114,7 @@ func BenchmarkMediumPromiscuous(b *testing.B) {
 	// where most deliveries are Overhear callbacks.
 	for _, n := range []int{100, 500, 2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e, m, tx := benchMedium(b, n, 10)
+			e, m, tx := benchMedium(b, n, 10, false)
 			drive(b, e, m, tx, tx.ID()+1)
 		})
 	}

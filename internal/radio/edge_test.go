@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -121,4 +122,51 @@ func TestEdgeFactorBelowOnePanics(t *testing.T) {
 		}
 	}()
 	NewMedium(sim.NewEngine(1), Config{EdgeFactor: 0.5})
+}
+
+// TestPreRejectBoundary pins the |dx| pre-reject in collect to the
+// frames receives refuses anyway: it is strict, so a receiver at exactly
+// the limit on the hard disk still hears the frame.
+func TestPreRejectBoundary(t *testing.T) {
+	const r = 100.0
+	edge := r * SoftEdgeFactor
+	past := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	yes, no := true, false
+	tests := []struct {
+		name       string
+		edgeFactor float64
+		rxRange    float64
+		rx         geo.Point
+		want       *bool // nil: whatever receives decides
+	}{
+		{"hard disk, |dx| == limit ahead", DefaultEdgeFactor, 0, geo.Pt(r, 0), &yes},
+		{"hard disk, |dx| == limit behind", DefaultEdgeFactor, 0, geo.Pt(-r, 0), &yes},
+		{"hard disk, |dx| == extended rxRange", DefaultEdgeFactor, 3 * r, geo.Pt(3*r, 0), &yes},
+		{"hard disk, just past limit on X", DefaultEdgeFactor, 0, geo.Pt(past(r), 0), &no},
+		{"soft edge, exactly at edge", SoftEdgeFactor, 0, geo.Pt(edge, 0), &no},
+		{"soft edge, just past edge on X", SoftEdgeFactor, 0, geo.Pt(past(edge), 0), &no},
+		{"hard disk, inside limit on X, on the disk with large dy", DefaultEdgeFactor, 0, geo.Pt(60, 80), &yes},
+		{"hard disk, inside limit on X, off the disk with large dy", DefaultEdgeFactor, 0, geo.Pt(10, 150), &no},
+		{"soft edge, inside edge on X, edge zone with large dy", SoftEdgeFactor, 0, geo.Pt(50, 100), nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			m := NewMedium(e, Config{EdgeFactor: tt.edgeFactor, Seed: 5})
+			var rx collector
+			tx := m.Attach(1, r, staticPos(geo.Pt(0, 0)), &collector{}, false)
+			m.Attach(2, r, staticPos(tt.rx), &rx, false).SetRxRange(tt.rxRange)
+			m.Send(tx, BroadcastID, nil)
+			e.Run(time.Second)
+
+			got := len(rx.delivered) == 1
+			decided := m.receives(geo.Pt(0, 0).DistanceTo(tt.rx), math.Max(r, tt.rxRange), 1, 2, 0)
+			if got != decided {
+				t.Errorf("delivered = %v, receives says %v", got, decided)
+			}
+			if tt.want != nil && got != *tt.want {
+				t.Errorf("delivered = %v, want %v", got, *tt.want)
+			}
+		})
+	}
 }

@@ -210,6 +210,29 @@ func TestCellSizeGrowthRebuckets(t *testing.T) {
 	}
 }
 
+// TestGrowthAttachLeavesStaleIndexEntry pins a known defect of the grid
+// index. The defect stays for now because the Fig. 9a golden depends on
+// it: the attacker's Attach grows the grid. Attach appends the new
+// antenna to Medium.order before ensureCellSize rebuckets Medium.order,
+// so an antenna whose range grows the grid is bucketed once at its
+// still-zero gridX and once at its real position. A transmitter whose
+// query covers both cells hands it the frame twice. The fix (grow the
+// grid before the append) has to land together with re-pinned reference
+// outputs.
+func TestGrowthAttachLeavesStaleIndexEntry(t *testing.T) {
+	e, m := newTestMedium(t)
+	var grower collector
+	tx := m.Attach(1, 100, staticPos(geo.Pt(0, 0)), &collector{}, false)
+	m.Attach(2, 300, staticPos(geo.Pt(50, 0)), &grower, false) // cell size 100 -> 300
+
+	m.Send(tx, BroadcastID, nil)
+	e.Run(time.Second)
+
+	if len(grower.delivered) != 2 {
+		t.Fatalf("grid-growing attach got %d copies of one frame; the known double-index defect gives 2", len(grower.delivered))
+	}
+}
+
 func TestSetRangeGrowsQueryReach(t *testing.T) {
 	// SetRange beyond the original cell size must widen the sender's
 	// query so distant receivers are still enumerated.

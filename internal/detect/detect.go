@@ -131,7 +131,9 @@ type Config struct {
 	// only rendered when a sink is installed.
 	Sink func(Verdict)
 
-	// Optional distribution outputs; nil handles are no-ops.
+	// Optional distribution outputs; nil handles are no-ops. Monitors
+	// stage BeaconGapHist/PosErrorHist observations in plain per-monitor
+	// counts, which reach the histograms when Summary is taken.
 	LatencyHist   *telemetry.Histogram // first-true-verdict sim time, seconds
 	BeaconGapHist *telemetry.Histogram // single-hop claim inter-arrival, seconds
 	PosErrorHist  *telemetry.Histogram // implausible claim displacement excess, meters
@@ -173,6 +175,7 @@ type Detector struct {
 	detected  bool
 	firstTrue time.Duration
 	checks    [numChecks]struct{ tp, fp uint64 }
+	tallied   []*Monitor // monitors staging histogram observations
 }
 
 // New constructs a Detector with defaults applied.
@@ -186,17 +189,34 @@ func (d *Detector) NewMonitor(node uint64) *Monitor {
 	if d == nil {
 		return nil
 	}
-	return &Monitor{d: d, node: node, src: make(map[uint64]*srcState)}
+	m := &Monitor{
+		d: d, node: node,
+		gapHist: d.cfg.BeaconGapHist.Tally(),
+		posHist: d.cfg.PosErrorHist.Tally(),
+	}
+	if m.gapHist != nil || m.posHist != nil {
+		d.mu.Lock()
+		d.tallied = append(d.tallied, m)
+		d.mu.Unlock()
+	}
+	return m
 }
 
-// Summary snapshots the run's aggregate detection outcome. Nil on a nil
-// Detector.
+// Summary snapshots the run's aggregate detection outcome and folds the
+// monitors' staged observations into the BeaconGapHist/PosErrorHist
+// histograms. Take it once the monitors have stopped observing (at run
+// end): the fold reads their staging without synchronization. Nil on a
+// nil Detector.
 func (d *Detector) Summary() *Summary {
 	if d == nil {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for _, m := range d.tallied {
+		m.gapHist.Flush()
+		m.posHist.Flush()
+	}
 	s := &Summary{Verdicts: d.verdicts, Detected: d.detected}
 	if d.detected {
 		s.LatencySeconds = d.firstTrue.Seconds()

@@ -7,15 +7,15 @@ import (
 )
 
 // Replay runs the monitors offline over a recorded JSONL trace and
-// returns the populated Detector (read its Summary; install cfg.Sink to
-// stream verdicts). Trace records carry no position vectors, so only the
-// trace-reconstructable subset of the taxonomy runs offline: beacon
-// inter-arrival, claim churn, and own-echo replay (origination times and
-// initial hop budgets are recovered from the source's own TX records).
-// Position/speed/stale-timestamp checks need the live receive path.
+// returns the populated Detector (read its Summary, which also folds the
+// histograms; install cfg.Sink to stream verdicts). Trace records carry
+// no position vectors, so only the trace-reconstructable subset of the
+// taxonomy runs offline: beacon inter-arrival, claim churn, and own-echo
+// replay (origination times and initial hop budgets are recovered from
+// the source's own TX records). Position/speed/stale-timestamp checks
+// need the live receive path.
 func Replay(records []trace.Record, cfg Config) *Detector {
 	d := New(cfg)
-	type streamKey struct{ node, src uint64 }
 	type txKey struct {
 		src uint64
 		sn  uint16
@@ -24,7 +24,7 @@ func Replay(records []trace.Record, cfg Config) *Detector {
 		at  time.Duration
 		rhl uint8
 	}
-	beacons := make(map[streamKey]*srcState)
+	monitors := make(map[uint64]*Monitor)
 	lastTX := make(map[txKey]txInfo)
 
 	for _, r := range records {
@@ -39,31 +39,18 @@ func Replay(records []trace.Record, cfg Config) *Detector {
 			if r.PType != trace.PTBeacon {
 				continue
 			}
-			k := streamKey{r.Node, r.Src}
-			st := beacons[k]
-			if st == nil {
-				st = &srcState{}
-				beacons[k] = st
+			m := monitors[r.Node]
+			if m == nil {
+				m = d.NewMonitor(r.Node)
+				monitors[r.Node] = m
 			}
-			if st.haveBeacon {
-				gap := r.At - st.lastBeacon
-				cfg.BeaconGapHist.Observe(gap.Seconds())
-				if gap < d.cfg.MinBeaconGap {
-					d.flag(r.At, r.Node, r.Peer, CheckBeacon, func() string {
-						return "offline: beacon inter-arrival " + gap.String() + " below floor"
-					})
-				}
+			e := m.entry(r.Src)
+			if gap, ok := m.beaconGap(e, r.At); ok && gap < d.cfg.MinBeaconGap {
+				d.flag(r.At, r.Node, r.Peer, CheckBeacon, func() string {
+					return "offline: beacon inter-arrival " + gap.String() + " below floor"
+				})
 			}
-			st.haveBeacon = true
-			st.lastBeacon = r.At
-			keep := st.arrivals[:0]
-			for _, at := range st.arrivals {
-				if r.At-at < d.cfg.ChurnWindow {
-					keep = append(keep, at)
-				}
-			}
-			st.arrivals = append(keep, r.At)
-			if len(st.arrivals) > d.cfg.ChurnMax {
+			if m.churn(e, r.At) > d.cfg.ChurnMax {
 				d.flag(r.At, r.Node, r.Peer, CheckChurn, func() string {
 					return "offline: neighbor-claim churn above window budget"
 				})

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 
+	"github.com/vanetsec/georoute/internal/attack"
 	"github.com/vanetsec/georoute/internal/detect"
 	"github.com/vanetsec/georoute/internal/telemetry"
 )
@@ -33,6 +35,58 @@ func TestFig7aGoldenWithDetection(t *testing.T) {
 	}
 	if g.DetectBeaconGap.Count() == 0 {
 		t.Error("beacon inter-arrival histogram empty")
+	}
+}
+
+// TestDetectHistogramFold pins the detection histograms of one fixed
+// attacked run to the values observing every claim straight into the
+// shared histogram produced: the monitors now stage observations in
+// plain per-monitor counts and fold them in when the runner takes the
+// detector's Summary. Cumulative bucket counts must match exactly; the
+// sums, added in a different order, within 1e-9 relative.
+func TestDetectHistogramFold(t *testing.T) {
+	s := tinyScenario()
+	s.AttackMode = attack.InterArea
+	reg := telemetry.NewRegistry()
+	RunOnce(s, 3, Observe{Detect: true, Gauges: telemetry.NewRunGauges(reg, 0)})
+
+	want := map[string]struct {
+		cum []float64
+		sum float64
+	}{
+		"georoute_detect_beacon_gap_seconds": {
+			cum: []float64{0, 0, 10623, 10623, 10623, 10623, 10623, 10623, 68331, 68331, 68331, 68331, 68331},
+			sum: 194540.02823843533,
+		},
+		"georoute_detect_position_error_meters": {
+			cum: []float64{0, 21, 22, 36, 36, 36, 36, 36, 36, 36, 36},
+			sum: 300.78821847936547,
+		},
+	}
+	got := make(map[string][]float64)
+	sums := make(map[string]float64)
+	for _, smp := range reg.Snapshot() {
+		for name := range want {
+			switch smp.Name {
+			case name + "_bucket":
+				got[name] = append(got[name], smp.Value)
+			case name + "_sum":
+				sums[name] = smp.Value
+			}
+		}
+	}
+	for name, w := range want {
+		if len(got[name]) != len(w.cum) {
+			t.Fatalf("%s: %d buckets, want %d", name, len(got[name]), len(w.cum))
+		}
+		for i := range w.cum {
+			if got[name][i] != w.cum[i] {
+				t.Errorf("%s bucket %d = %v, want %v", name, i, got[name][i], w.cum[i])
+			}
+		}
+		if d := math.Abs(sums[name] - w.sum); d > 1e-9*w.sum {
+			t.Errorf("%s_sum = %.17g, want %.17g within 1e-9 relative", name, sums[name], w.sum)
+		}
 	}
 }
 

@@ -31,6 +31,38 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
+func TestTallyFlush(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "help", []float64{1, 10, 100})
+	direct := r.Histogram("d", "help", []float64{1, 10, 100})
+	tl := h.Tally()
+	for _, v := range []float64{0.5, 1, 5, 50, 500} {
+		tl.Observe(v)
+		direct.Observe(v)
+	}
+	if h.Count() != 0 {
+		t.Fatal("tally reached the histogram before Flush")
+	}
+	tl.Flush()
+	tl.Flush() // an empty tally adds nothing
+	if h.Count() != 5 || h.Sum() != 556.5 {
+		t.Errorf("after Flush: Count = %d, Sum = %g, want 5, 556.5", h.Count(), h.Sum())
+	}
+	got, _ := h.m.hist.snapshot()
+	want, _ := direct.m.hist.snapshot()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("cum[%d] = %d, direct observing gives %d", i, got[i], want[i])
+		}
+	}
+	var nilTally *Tally
+	if (*Histogram)(nil).Tally() != nil {
+		t.Error("nil histogram returned a tally")
+	}
+	nilTally.Observe(1) // must not panic
+	nilTally.Flush()
+}
+
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic
